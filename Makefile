@@ -67,14 +67,16 @@ bench-trace:
 # benchmarks (identical ACT runs through the scalar replayOne loop vs the
 # batched replayRun) and the all-banks aggregate pair (buffered per-ACT
 # replay vs columnar RunBlocks ingest) record single-bank and aggregate
-# ACT/s into BENCH_replay.json. rhbench asserts the ISSUE 7 floors: ≥3x
-# batch-vs-scalar on trigger-light replay, ≥1.3x end-to-end aggregate,
-# and 0 allocs/op on every batch engine bench.
+# ACT/s into BENCH_replay.json. rhbench asserts the floors: ≥3x
+# batch-vs-scalar on trigger-light replay, on DDR4 and on DDR5 (where the
+# batch walk also stops at every RFM), ≥1.3x end-to-end aggregate, and 0
+# allocs/op on every batch engine bench.
 bench-replay:
 	$(GO) test -run 'TestReplayBatchZeroAlloc' ./internal/memctrl
 	$(GO) test -run xxx -bench 'BenchmarkReplayEngine' -benchtime 500x -count 3 -benchmem ./internal/memctrl > BENCH_replay.txt
 	$(GO) test -run xxx -bench 'BenchmarkReplayAggregate' -benchtime 3x -count 3 -benchmem ./internal/memctrl >> BENCH_replay.txt
 	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o BENCH_replay.json -assert-speedup 'ReplayEngine/batch-trigger-light:ReplayEngine/scalar-trigger-light:3'
+	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o /dev/null -assert-speedup 'ReplayEngine/batch-ddr5-trigger-light:ReplayEngine/scalar-ddr5-trigger-light:3'
 	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o /dev/null -assert-speedup 'batch-allbanks:scalar-allbanks:1.3'
 	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o /dev/null -assert-zero-allocs 'BenchmarkReplayEngine/batch'
 	rm -f BENCH_replay.txt
@@ -133,6 +135,7 @@ fuzz:
 	$(GO) test ./internal/graphene -fuzz=FuzzBankNeverMissesTheorem -fuzztime=30s -run xxx
 	$(GO) test ./internal/graphene -fuzz=FuzzTableMatchesReference -fuzztime=30s -run xxx
 	$(GO) test ./internal/graphene -fuzz=FuzzBatchAppend -fuzztime=30s -run xxx
+	$(GO) test ./internal/graphene -fuzz=FuzzObserveWMatchesUnits -fuzztime=30s -run xxx
 	$(GO) test ./internal/trace -fuzz=FuzzBinaryReader -fuzztime=30s -run xxx
 	$(GO) test ./internal/memctrl -fuzz=FuzzStreamingMatchesBuffered -fuzztime=30s -run xxx
 	$(GO) test ./internal/mitigation -fuzz=FuzzStackAppend -fuzztime=30s -run xxx

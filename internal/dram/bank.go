@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Bank models a single DRAM bank: its row array, the rolling auto-refresh
 // pointer, per-row last-refresh times, and occupancy. The memory controller
@@ -156,6 +159,17 @@ func (b *Bank) ActivateRunOpen(count int, busy, end Time) {
 // false when the timing does not enable RFM.
 func (b *Bank) RFMDue() bool {
 	return b.timing.RAAIMT > 0 && b.raa >= b.timing.RAAIMT
+}
+
+// ACTsToRFM reports how many more activations the bank takes before RFMDue
+// turns true — the RFM horizon the batched replay caps its runs at, since
+// the RAA counter moves only with the ACT count. math.MaxInt when the
+// timing does not enable RFM.
+func (b *Bank) ACTsToRFM() int {
+	if b.timing.RAAIMT <= 0 {
+		return math.MaxInt
+	}
+	return b.timing.RAAIMT - b.raa
 }
 
 // RefreshManagement issues one RFM command at or after now: the bank is

@@ -10,7 +10,7 @@ import (
 // doubly-linked list of buckets in strictly increasing count order — the
 // stream-summary layout of Space-Saving (Metwally et al., ICDT 2005),
 // which Misra-Gries shares because both structures only ever move a slot
-// from count c to c+1.
+// upward in count.
 //
 // The structure exploits two facts the table invariants guarantee:
 //
@@ -18,8 +18,10 @@ import (
 //     replacement candidate (count == spillover) exists iff the head
 //     bucket's count equals the spillover count — one pointer compare
 //     replaces the linear Nentry scan;
-//   - counts change only by +1, so a slot always moves to the adjacent
-//     bucket — bucket maintenance is O(1) per Observe with no searching.
+//   - counts only grow: advance moves a slot by +by in one step, walking
+//     forward past at most by-1 buckets — a unit observation (+1) reaches
+//     the adjacent bucket with no searching, a weighted RowPress hit (+w)
+//     skips the counts in between.
 //
 // Each bucket stores its members as a two-level bitmap over slot indices,
 // so the lowest-index member — the slot the hardware priority encoder
@@ -72,12 +74,21 @@ func (x *bucketIndex) candidate(spill int64) (int, bool) {
 	return x.head.set.first(), true
 }
 
-// increment moves slot i from its bucket to the count+1 bucket.
-func (x *bucketIndex) increment(i int) {
+// advance moves slot i from its bucket to the count+by bucket (by >= 1) in
+// one step. With by = 1 the walk never runs: the target is the adjacent
+// bucket or a new one right after it. For by > 1 it leaves the same bucket
+// list as by successive +1 moves: the intermediate buckets those moves
+// would create for slot i alone, they would also unlink again.
+func (x *bucketIndex) advance(i int, by int64) {
 	b := x.slot[i]
-	nb := b.next
-	if nb == nil || nb.count != b.count+1 {
-		nb = x.insertAfter(b, b.count+1)
+	c := b.count + by
+	at := b // last bucket below c
+	for at.next != nil && at.next.count < c {
+		at = at.next
+	}
+	nb := at.next
+	if nb == nil || nb.count != c {
+		nb = x.insertAfter(at, c)
 	}
 	b.set.remove(i)
 	nb.set.add(i)

@@ -159,43 +159,16 @@ func (tb *Table) Stats() TableStats {
 // more than 2^31 rows, and Observe panics rather than silently truncating
 // a row that would alias another row's counter.
 func (tb *Table) Observe(row int) (trigger bool) {
-	if row < 0 || row > math.MaxInt32 {
-		panic(fmt.Sprintf("graphene: row %d outside the int32 address space", row))
-	}
-	tb.observed++
-	addr := int32(row)
-
-	if i, ok := tb.index.get(addr); ok { // row address HIT
-		tb.hits++
-		e := &tb.entries[i]
-		e.count++
-		if e.count == tb.t {
-			// Estimated count reached (a multiple of) T: reset the stored
-			// count, keep the overflow bit high until the window ends.
-			e.count = 0
-			if !e.overflow {
-				e.overflow = true
-				tb.idx.pin(i)
-			}
-			e.triggers++
-			tb.triggers++
-			tb.windowTriggers++
-			return true
-		}
-		if !e.overflow {
-			tb.idx.increment(i)
-		}
-		return false
-	}
-
-	return tb.observeMiss(addr)
+	trigger, _ = tb.ObserveW(row, 1)
+	return trigger
 }
 
 // observeMiss handles an address-missing activation: the single Count-CAM
 // search of Fig. 5, answered in O(1) by the head bucket of the count index
 // (every non-overflow count is >= the spillover count, so a candidate
-// exists iff the minimum count equals it). Shared by Observe and the
-// fused ObserveRun loop so the replacement/spill logic exists once.
+// exists iff the minimum count equals it). Shared by ObserveW (and through
+// it Observe) and the fused ObserveRun loop so the replacement/spill logic
+// exists once.
 func (tb *Table) observeMiss(addr int32) (trigger bool) {
 	if i, ok := tb.idx.candidate(tb.spill); ok {
 		// Entry replace: carry the old count over, +1 for this ACT.
@@ -223,7 +196,7 @@ func (tb *Table) observeMiss(addr int32) (trigger bool) {
 			tb.windowTriggers++
 			return true
 		}
-		tb.idx.increment(i)
+		tb.idx.advance(i, 1)
 		return false
 	}
 
@@ -285,7 +258,7 @@ func (tb *Table) ObserveRun(rows []int32) (consumed int, trigger, alertEdge bool
 				return n, true, false
 			}
 			if !e.overflow {
-				tb.idx.increment(slot)
+				tb.idx.advance(slot, 1)
 			}
 			continue
 		}
@@ -312,15 +285,60 @@ func (tb *Table) ObserveRun(rows []int32) (consumed int, trigger, alertEdge bool
 // refresh for the whole ACT, since a single NRR already restores the full
 // charge of every neighbor — and alertEdge reports the spillover alert's
 // rising edge within the call.
+//
+// Units replay one at a time only while the row misses (each miss may
+// replace an entry or bump the spillover count). Once the row holds an
+// entry every remaining unit is a hit on it, so hitW applies them in
+// closed form.
 func (tb *Table) ObserveW(row int, w int64) (trigger, alertEdge bool) {
+	if row < 0 || row > math.MaxInt32 {
+		panic(fmt.Sprintf("graphene: row %d outside the int32 address space", row))
+	}
+	addr := int32(row)
 	preSpill := tb.spill
 	for ; w > 0; w-- {
-		if tb.Observe(row) {
+		if i, ok := tb.index.get(addr); ok {
+			if tb.hitW(i, w) {
+				trigger = true
+			}
+			break
+		}
+		tb.observed++
+		if tb.observeMiss(addr) {
 			trigger = true
 		}
 	}
 	alertEdge = preSpill < tb.t && tb.spill >= tb.t
 	return trigger, alertEdge
+}
+
+// hitW applies w consecutive address hits on slot i at once: the count
+// advances by w with wrap at T, each wrap is one trigger (the stored count
+// restarts while the overflow bit stays high until the window ends), and
+// the entry pins on its first overflow exactly as the unit-by-unit walk
+// would pin it. Without a wrap the slot makes one +w bucket move.
+func (tb *Table) hitW(i int, w int64) (trigger bool) {
+	tb.observed += w
+	tb.hits += w
+	e := &tb.entries[i]
+	total := e.count + w
+	if total < tb.t {
+		e.count = total
+		if !e.overflow {
+			tb.idx.advance(i, w)
+		}
+		return false
+	}
+	wraps := total / tb.t
+	e.count = total - wraps*tb.t
+	if !e.overflow {
+		e.overflow = true
+		tb.idx.pin(i)
+	}
+	e.triggers += wraps
+	tb.triggers += wraps
+	tb.windowTriggers += wraps
+	return true
 }
 
 // EstimatedCount returns the uncompressed tracked estimate for row since

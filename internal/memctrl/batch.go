@@ -24,17 +24,22 @@ const maxBatchRun = 4096
 // gap/refresh-check/activate/observe/apply sequence, it:
 //
 //  1. walks the occupancy recurrence forward to the event horizon — the
-//     first ACT whose arrival crosses the next auto-refresh boundary (or
-//     the run cap) — precomputing every ACT start time in the run, with no
-//     per-ACT branch on the refresh clock;
+//     first ACT whose arrival crosses the next auto-refresh boundary, the
+//     ACT that brings the DDR5 RAA counter to RAAIMT, or the run cap —
+//     precomputing every ACT start time in the run, with no per-ACT branch
+//     on the refresh clock or the RAA counter;
 //  2. hands the whole run to the mitigator's AppendOnActivateBatch, which
 //     consumes ACTs until its first append (the batch contract: an applied
 //     refresh changes the bank timeline, so later precomputed times would
 //     go stale);
 //  3. feeds the consumed prefix to the oracle, accounts the bank's ACT
-//     run in one ActivateRun call, and applies any refreshes at the
-//     consuming ACT's completion time — exactly when the scalar path
-//     would have.
+//     run in one ActivateRun call, issues the RFM command when the prefix
+//     ended on the RAAIMT-th ACT, and applies any refreshes at the
+//     resulting completion time — exactly when the scalar path would have.
+//
+// The RAA counter moves only with the ACT count, so the RFM horizon is
+// known before the walk starts (dram.Bank.ACTsToRFM) and needs no second
+// timing recurrence: it just caps the run.
 //
 // An ACT that crosses a refresh boundary replays through the scalar
 // replayOne, which runs catchUpREF and everything else; runs resume after
@@ -77,7 +82,7 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 			}
 			busy += trc
 			k := 1
-			lim := i + maxBatchRun
+			lim := i + min(maxBatchRun, s.bank.ACTsToRFM())
 			if lim > n {
 				lim = n
 			}
@@ -94,7 +99,11 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 			}
 			s.bank.ActivateRun(k, busy)
 			out.acts += int64(k)
-			s.now = busy
+			end, err := s.rfmIfDue(busy)
+			if err != nil {
+				return err
+			}
+			s.now = end
 			i += k
 			continue
 		}
@@ -107,10 +116,11 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 		busy := s.bank.BusyUntil()
 		now := s.now
 		horizon := s.nextREF
+		runCap := min(maxBatchRun, s.bank.ACTsToRFM())
 		times := s.runTimes[:0]
 		j := i
 		if dwells == nil {
-			for j < n && j-i < maxBatchRun {
+			for j < n && j-i < runCap {
 				arr := now + gaps[j]
 				if arr >= horizon {
 					break
@@ -129,7 +139,7 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 			// (max(tRC, dwell+tRP)) and tRP hoisted, so carrying the column
 			// prices only the extra load and compare per ACT.
 			trp := timing.TRP
-			for j < n && j-i < maxBatchRun {
+			for j < n && j-i < runCap {
 				arr := now + gaps[j]
 				if arr >= horizon {
 					break
@@ -225,6 +235,10 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 			s.bank.ActivateRunOpen(consumed, busySum, end)
 		}
 		out.acts += int64(consumed)
+		end, err := s.rfmIfDue(end)
+		if err != nil {
+			return err
+		}
 		if len(vrs) > 0 {
 			if err := s.apply(vrs, end); err != nil {
 				return err

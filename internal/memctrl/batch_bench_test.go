@@ -25,8 +25,7 @@ import (
 // benchmarkReplayRun measures one bank replaying the same run b.N times.
 // withOracle arms the ground-truth oracle at an unreachable TRH (per-ACT
 // disturbance accounting runs, no flips are recorded).
-func benchmarkReplayRun(b *testing.B, factory mitigation.Factory, withOracle, scalar, hammerPair bool) {
-	timing := dram.DDR4()
+func benchmarkReplayRun(b *testing.B, timing dram.Timing, factory mitigation.Factory, withOracle, scalar, hammerPair bool) {
 	bank, err := dram.NewBank(timing, hotRows)
 	if err != nil {
 		b.Fatal(err)
@@ -87,26 +86,32 @@ func BenchmarkReplayEngine(b *testing.B) {
 		// where the event-horizon loop has the most to win. This is the
 		// pair the ≥3x gate rides on.
 		b.Run(side.name+"-trigger-light", func(b *testing.B) {
-			benchmarkReplayRun(b, nil, false, side.scalar, false)
+			benchmarkReplayRun(b, timing, nil, false, side.scalar, false)
+		})
+		// The same on DDR5 (RFM every RAAIMT = 32 ACTs): the batch walk
+		// stops at the RFM horizon as well as at REF. This pair gates the
+		// RFM fold.
+		b.Run(side.name+"-ddr5-trigger-light", func(b *testing.B) {
+			benchmarkReplayRun(b, dram.DDR5(), nil, false, side.scalar, false)
 		})
 		// Oracle-armed unprotected replay: per-ACT disturbance accounting
 		// is shared by both paths and bounds the achievable speedup.
 		b.Run(side.name+"-oracle", func(b *testing.B) {
-			benchmarkReplayRun(b, nil, true, side.scalar, false)
+			benchmarkReplayRun(b, timing, nil, true, side.scalar, false)
 		})
 		// Scheme-bound variants: the fused batch paths against their
 		// scalar loops, quiet and trigger-heavy.
 		b.Run(side.name+"-graphene", func(b *testing.B) {
-			benchmarkReplayRun(b, factories["graphene"], false, side.scalar, false)
+			benchmarkReplayRun(b, timing, factories["graphene"], false, side.scalar, false)
 		})
 		b.Run(side.name+"-para", func(b *testing.B) {
-			benchmarkReplayRun(b, factories["para"], false, side.scalar, false)
+			benchmarkReplayRun(b, timing, factories["para"], false, side.scalar, false)
 		})
 		b.Run(side.name+"-twice", func(b *testing.B) {
-			benchmarkReplayRun(b, factories["twice"], false, side.scalar, true)
+			benchmarkReplayRun(b, timing, factories["twice"], false, side.scalar, true)
 		})
 		b.Run(side.name+"-trigger-heavy", func(b *testing.B) {
-			benchmarkReplayRun(b, heavy, false, side.scalar, true)
+			benchmarkReplayRun(b, timing, heavy, false, side.scalar, true)
 		})
 	}
 }

@@ -40,6 +40,7 @@ func TestBlockStructRouterMatchesBuffered(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("struct-block result diverges from buffered:\n got %+v\nwant %+v", got, want)
 			}
+			checkRFM(t, tc.mkCfg(), got)
 		})
 	}
 }
@@ -50,31 +51,39 @@ func TestBlockStructRouterMatchesBuffered(t *testing.T) {
 // performs no heap allocation at all (the AllocsPerRun acceptance floor of
 // ISSUE 7).
 func TestReplayBatchZeroAlloc(t *testing.T) {
-	timing := dram.DDR4()
+	timing, ddr5 := dram.DDR4(), dram.DDR5()
 	cases := []struct {
 		name       string
+		timing     dram.Timing
 		factory    mitigation.Factory
 		hammerPair bool
 		dwell      dram.Time
 	}{
-		{"unprotected", nil, false, 0},
-		{"graphene-quiet", graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}), false, 0},
-		{"graphene-trigger-heavy", graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: timing}), true, 0},
-		{"stack-quiet", mitigation.StackFactory(
+		{"unprotected", timing, nil, false, 0},
+		{"graphene-quiet", timing, graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}), false, 0},
+		{"graphene-trigger-heavy", timing, graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: timing}), true, 0},
+		{"stack-quiet", timing, mitigation.StackFactory(
 			trr.Factory(trr.Config{Rows: hotRows, Seed: 7}),
 			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}),
 		), false, 0},
 		// Dwell-column legs: the transposed column, the per-ACT ActCycle
 		// horizon walk, and the rowpress weighted-observe path must all
 		// stay allocation-free too.
-		{"unprotected-dwell", nil, false, timing.NRAS()},
-		{"graphene-rowpress-dwell",
+		{"unprotected-dwell", timing, nil, false, timing.NRAS()},
+		{"graphene-rowpress-dwell", timing,
 			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing, Rowpress: true}),
 			false, 3 * timing.NRAS()},
+		// DDR5 legs: runs capped at the RFM horizon and the RFM issued
+		// between a run and its refreshes, with and without dwell, where
+		// RowPress hits take ObserveW's closed form.
+		{"graphene-trigger-heavy-ddr5", ddr5, graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: ddr5}), true, 0},
+		{"graphene-rowpress-ddr5-dwell", ddr5,
+			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: ddr5, Rowpress: true}),
+			true, 8 * ddr5.NRAS()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := hotState(t, tc.factory)
+			s := hotState(t, tc.timing, tc.factory)
 			var out bankOut
 			cfg := Config{}
 			const chunkLen = 512

@@ -46,6 +46,7 @@ func TestBlockDirectMatchesBuffered(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("block-direct result diverges from buffered:\n got %+v\nwant %+v", got, want)
 			}
+			checkRFM(t, tc.mkCfg(), got)
 		})
 	}
 }

@@ -103,6 +103,11 @@ type Result struct {
 	NRRCommands int64 // victim-refresh commands issued
 	RowsVictim  int64 // rows refreshed by victim refreshes
 
+	// RFMCommands counts DDR5 Refresh Management commands (one per RAAIMT
+	// ACTs per bank). Omitted from JSON when zero, so DDR4 results
+	// serialize exactly as before the field existed.
+	RFMCommands int64 `json:",omitempty"`
+
 	Flips          []BankFlip // ground-truth bit flips (empty for sound schemes)
 	MaxDisturbance float64    // worst victim accumulator at the horizon
 
@@ -130,6 +135,7 @@ type BankSummary struct {
 	RowsAuto    int64
 	NRRCommands int64
 	RowsVictim  int64
+	RFMCommands int64 `json:",omitempty"`
 	BusyTime    dram.Time
 }
 
@@ -179,7 +185,8 @@ type bankState struct {
 	// loop instead of the batched replay core (batch.go): set for schemes
 	// whose extra-DRAM-traffic stall must interleave with every ACT
 	// (CRA's counter cache) and for geometries whose rows overflow the
-	// batch path's int32 columns.
+	// batch path's int32 columns. DDR5 RFM is not a reason: the batch
+	// core caps its runs at the RFM horizon.
 	useScalar bool
 
 	// Columnar batch scratch (DESIGN.md §11): colRows/colGaps/colDwells
@@ -310,11 +317,7 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 			// accesses weigh exactly 1, so legacy streams are unchanged.
 			s.oracle.SetNRAS(cfg.Timing.NRAS())
 		}
-		// RFM (DDR5) banks also replay scalar: the RAA threshold check
-		// interleaves with every ACT, which the batched event-horizon walk
-		// cannot express without forking its timing recurrence.
-		s.useScalar = s.extraFn != nil || cfg.Geometry.RowsPerBank > math.MaxInt32 ||
-			cfg.Timing.RAAIMT > 0
+		s.useScalar = s.extraFn != nil || cfg.Geometry.RowsPerBank > math.MaxInt32
 		states[i] = s
 	}
 
@@ -365,12 +368,14 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 		res.RowsAuto += st.RowsAutoRefresh
 		res.NRRCommands += st.NRRCommands
 		res.RowsVictim += st.RowsNRR
+		res.RFMCommands += st.RFMCommands
 		res.PerBank = append(res.PerBank, BankSummary{
 			Bank:        bi,
 			ACTs:        st.ACTs,
 			RowsAuto:    st.RowsAutoRefresh,
 			NRRCommands: st.NRRCommands,
 			RowsVictim:  st.RowsNRR,
+			RFMCommands: st.RFMCommands,
 			BusyTime:    st.BusyTime,
 		})
 		if s.oracle != nil {
@@ -414,14 +419,8 @@ func (s *bankState) replayOne(a trace.Access, bi int, out *bankOut) error {
 		return err
 	}
 	out.acts++
-	if s.bank.RFMDue() {
-		// DDR5 Refresh Management: the RAA counter hit RAAIMT, so the
-		// controller owes the device an RFM command before the stream
-		// continues. Pure occupancy — the in-DRAM tracker it feeds is
-		// opaque, so no charge restoration is modeled.
-		if done, err = s.bank.RefreshManagement(done); err != nil {
-			return err
-		}
+	if done, err = s.rfmIfDue(done); err != nil {
+		return err
 	}
 
 	if s.oracle != nil {
@@ -462,6 +461,19 @@ func (s *bankState) replayOne(a trace.Access, bi int, out *bankOut) error {
 	}
 	s.now = done
 	return nil
+}
+
+// rfmIfDue is DDR5 Refresh Management: when the ACT completing at done
+// brought the RAA counter to RAAIMT, the controller owes the device an RFM
+// command before the stream continues, and before that ACT's victim
+// refreshes apply. It returns when the bank is free again — done itself
+// when no RFM is due. Pure occupancy — the in-DRAM tracker the command
+// feeds is opaque, so no charge restoration is modeled.
+func (s *bankState) rfmIfDue(done dram.Time) (dram.Time, error) {
+	if !s.bank.RFMDue() {
+		return done, nil
+	}
+	return s.bank.RefreshManagement(done)
 }
 
 // catchUpREF issues every auto-refresh command due at or before s.now,

@@ -41,7 +41,7 @@ func TestReplayHotPathZeroAlloc(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := hotState(t, tc.factory)
+			s := hotState(t, timing, tc.factory)
 			var out bankOut
 			acc := trace.Access{Gap: 50 * dram.Nanosecond}
 			// Warm every recycled buffer: scheme tables, vrScratch,

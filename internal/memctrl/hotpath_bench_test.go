@@ -25,9 +25,8 @@ import (
 const hotRows = 64 * 1024
 
 // hotState mirrors run()'s per-bank setup for a single benchmarked bank.
-func hotState(tb testing.TB, factory mitigation.Factory) *bankState {
+func hotState(tb testing.TB, timing dram.Timing, factory mitigation.Factory) *bankState {
 	tb.Helper()
-	timing := dram.DDR4()
 	bank, err := dram.NewBank(timing, hotRows)
 	if err != nil {
 		tb.Fatal(err)
@@ -69,7 +68,7 @@ func hotRow(i int, hammerPair bool) int {
 }
 
 func benchmarkHotPath(b *testing.B, factory mitigation.Factory, hammerPair bool) {
-	s := hotState(b, factory)
+	s := hotState(b, dram.DDR4(), factory)
 	var out bankOut
 	acc := trace.Access{Gap: 50 * dram.Nanosecond}
 	// Warm up scratch capacities (scheme tables, stream buffers) before
@@ -107,7 +106,7 @@ func BenchmarkHotPathACT(b *testing.B) {
 func BenchmarkHotPathTriggerCycle(b *testing.B) {
 	timing := dram.DDR4()
 	factory := graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: timing})
-	s := hotState(b, factory)
+	s := hotState(b, timing, factory)
 	var out bankOut
 	acc := trace.Access{Gap: 50 * dram.Nanosecond}
 	const cycle = 100 // 2T ACTs

@@ -12,6 +12,7 @@ import (
 	"graphene/internal/para"
 	"graphene/internal/remap"
 	"graphene/internal/trace"
+	"graphene/internal/twice"
 	"graphene/internal/workload"
 )
 
@@ -31,7 +32,8 @@ func grapheneFactory(trh int64, rows int, timing dram.Timing) mitigation.Factory
 
 // diffCases covers the shapes the streaming rework could plausibly break:
 // the adversarial suite on one bank, multi-bank mixed workloads, remapped
-// geometry, a stateful-seed scheme, and chunk-boundary trace lengths.
+// geometry, a stateful-seed scheme, chunk-boundary trace lengths, and DDR5
+// Refresh Management (ddr5Cases).
 func diffCases(t *testing.T) []diffCase {
 	t.Helper()
 	timing := smallTiming()
@@ -157,7 +159,113 @@ func diffCases(t *testing.T) []diffCase {
 			},
 		})
 	}
+	return append(cases, ddr5Cases()...)
+}
+
+// ddr5Timing is smallTiming with DDR5 Refresh Management enabled.
+func ddr5Timing(raaimt int) dram.Timing {
+	t := smallTiming()
+	t.TRFM = 195 * dram.Nanosecond
+	t.RAAIMT = raaimt
+	return t
+}
+
+// ddr5Cases pins the RFM fold: the batch core caps each run at the RFM
+// horizon and issues the RFM right after the RAAIMT-th ACT, before that
+// ACT's victim refreshes apply. RAAIMT 1 and 2 end nearly every run on an
+// RFM; 32 and 33 put the boundary on and off the power-of-two chunk
+// lengths. Every RAAIMT replays a dwell-free and an 8×nRAS-dwell stream
+// under each scheme with the oracle on, plus the unprotected, oracle-free
+// stream that takes the pure-timing walk.
+func ddr5Cases() []diffCase {
+	const rows = 1 << 12
+	const trh = 2000
+	geo := dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 2, RowsPerBank: rows}
+	var cases []diffCase
+	for _, raaimt := range []int{1, 2, 32, 33} {
+		timing := ddr5Timing(raaimt)
+		schemes := []struct {
+			name string
+			mk   func() mitigation.Factory
+		}{
+			{"none", func() mitigation.Factory { return nil }},
+			{"graphene", func() mitigation.Factory { return grapheneFactory(trh, rows, timing) }},
+			{"rowpress-graphene", func() mitigation.Factory {
+				return graphene.Factory(graphene.Config{TRH: trh, K: 2, Rows: rows, Timing: timing, Rowpress: true})
+			}},
+			{"para", func() mitigation.Factory { return para.Factory(para.Classic(0.01, rows, 7)) }},
+			{"twice", func() mitigation.Factory { return twice.Factory(twice.Config{TRH: trh, Rows: rows, Timing: timing}) }},
+		}
+		for _, dwell := range []dram.Time{0, 8 * timing.NRAS()} {
+			leg := "plain"
+			if dwell != 0 {
+				leg = "dwell"
+			}
+			for _, sc := range schemes {
+				cases = append(cases, diffCase{
+					name: fmt.Sprintf("ddr5/raaimt%d/%s/%s", raaimt, leg, sc.name),
+					mkCfg: func() Config {
+						return Config{Geometry: geo, Timing: timing, Factory: sc.mk(), TRH: trh}
+					},
+					mkGen: func() trace.Generator { return ddr5Stream(24_000, rows, dwell) },
+				})
+			}
+		}
+		cases = append(cases, diffCase{
+			name:  fmt.Sprintf("ddr5/raaimt%d/plain/timing", raaimt),
+			mkCfg: func() Config { return Config{Geometry: geo, Timing: timing} },
+			mkGen: func() trace.Generator { return ddr5Stream(24_000, rows, 0) },
+		})
+	}
 	return cases
+}
+
+// ddr5Stream interleaves n ACTs over two banks. Two of every three ACTs
+// per bank hammer the pair 1000/1002 and hold it open for dwell (0 = the
+// device minimum); the rest scatter. Think-time gaps cross the refresh
+// clock every 97 ACTs, and every 7th ACT idles longer than an RFM, so an
+// RFM placed at the wrong time shifts the timeline visibly.
+func ddr5Stream(n, rows int, dwell dram.Time) trace.Generator {
+	var i int
+	return trace.FromFunc("ddr5", func() (trace.Access, bool) {
+		if i >= n {
+			return trace.Access{}, false
+		}
+		a := trace.Access{Bank: i & 1}
+		k := i >> 1
+		if k%3 != 2 {
+			a.Row, a.Dwell = 1000+2*(k&1), dwell
+		} else {
+			a.Row = (k * 7919) % rows
+		}
+		switch {
+		case i%97 == 0:
+			a.Gap = 9 * dram.Microsecond
+		case i%7 == 0:
+			a.Gap = 400 * dram.Nanosecond
+		}
+		i++
+		return a, true
+	})
+}
+
+// checkRFM asserts the RFM accounting a DDR5 Result must show: one RFM
+// command per RAAIMT ACTs on every bank.
+func checkRFM(t *testing.T, cfg Config, res Result) {
+	t.Helper()
+	if cfg.Timing.RAAIMT == 0 {
+		return
+	}
+	var total int64
+	for _, b := range res.PerBank {
+		if want := b.ACTs / int64(cfg.Timing.RAAIMT); b.RFMCommands != want {
+			t.Errorf("bank %d: %d RFM commands for %d ACTs, want %d (RAAIMT %d)", b.Bank, b.RFMCommands, b.ACTs, want, cfg.Timing.RAAIMT)
+		}
+		total += b.RFMCommands
+	}
+	if res.RFMCommands != total {
+		t.Errorf("Result.RFMCommands %d, per-bank sum %d", res.RFMCommands, total)
+	}
 }
 
 func TestStreamingMatchesBuffered(t *testing.T) {
@@ -175,6 +283,7 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("streaming result diverges from buffered:\n got %+v\nwant %+v", got, want)
 			}
+			checkRFM(t, tc.mkCfg(), got)
 		})
 	}
 }
@@ -272,16 +381,24 @@ func TestStreamingPartitionerErrorDrains(t *testing.T) {
 }
 
 // FuzzStreamingMatchesBuffered drives both replay paths with a generated
-// trace shape and requires identical Results (or identical failure).
+// trace shape and requires identical Results (or identical failure). A
+// non-zero raaimt switches to DDR5 timing with Refresh Management every
+// raaimt%64 ACTs and gives every third ACT an 8×nRAS RowPress dwell.
 func FuzzStreamingMatchesBuffered(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint16(500), uint16(3))
-	f.Add(int64(2), uint8(4), uint16(5000), uint16(97))
-	f.Add(int64(3), uint8(8), uint16(2*streamChunk+5), uint16(13))
-	f.Add(int64(4), uint8(2), uint16(0), uint16(1))
-	f.Fuzz(func(t *testing.T, seed int64, banks uint8, total uint16, stride uint16) {
+	f.Add(int64(1), uint8(1), uint16(500), uint16(3), uint8(0))
+	f.Add(int64(2), uint8(4), uint16(5000), uint16(97), uint8(0))
+	f.Add(int64(3), uint8(8), uint16(2*streamChunk+5), uint16(13), uint8(0))
+	f.Add(int64(4), uint8(2), uint16(0), uint16(1), uint8(0))
+	f.Add(int64(5), uint8(3), uint16(3*streamChunk+11), uint16(7), uint8(32))
+	f.Fuzz(func(t *testing.T, seed int64, banks uint8, total uint16, stride uint16, raaimt uint8) {
 		nbanks := int(banks%8) + 1
 		rows := 1 << 10
 		timing := smallTiming()
+		var dwell dram.Time
+		if raaimt%64 != 0 {
+			timing = ddr5Timing(int(raaimt % 64))
+			dwell = 8 * timing.NRAS()
+		}
 		geo := dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: nbanks, RowsPerBank: rows}
 		mkGen := func() trace.Generator {
 			var i int64
@@ -291,11 +408,15 @@ func FuzzStreamingMatchesBuffered(f *testing.F) {
 				}
 				i++
 				x := i*int64(stride) + seed
-				return trace.Access{
+				a := trace.Access{
 					Bank: int(uint64(x) % uint64(nbanks)),
 					Row:  int(uint64(x*31) % uint64(rows)),
 					Gap:  dram.Time(uint64(x) % 3000),
-				}, true
+				}
+				if i%3 == 0 {
+					a.Dwell = dwell
+				}
+				return a, true
 			})
 		}
 		mkCfg := func() Config {
@@ -315,5 +436,6 @@ func FuzzStreamingMatchesBuffered(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("streaming diverges from buffered:\n got %+v\nwant %+v", got, want)
 		}
+		checkRFM(t, mkCfg(), got)
 	})
 }

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"context"
-	"errors"
-	"sync"
-)
+import "sync"
 
 // MemoStats counts how a Memo was used: Misses is the number of distinct
 // keys computed, Hits the number of lookups served from (or while waiting
@@ -54,7 +50,7 @@ func (m *Memo[K, V]) Do(k K, compute func() (V, error)) (V, error) {
 	m.mu.Unlock()
 
 	e.once.Do(func() { e.val, e.err = compute() })
-	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+	if isCancel(e.err) {
 		// Drop the poisoned entry (concurrent askers already waiting on it
 		// still observe the cancellation; the next Do computes afresh).
 		m.mu.Lock()

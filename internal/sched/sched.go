@@ -70,9 +70,29 @@ type RetryPolicy struct {
 	Retryable func(error) bool
 }
 
+// isCancel reports whether err is a context cancellation or deadline.
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// outranks reports whether job i's error err should replace cur, job
+// curIdx's, as the error Run returns. A real failure beats a cancellation,
+// which may only be the pool's abort reaching a job that waited on its
+// context after another job failed. Among errors of the same kind the
+// lowest index wins.
+func outranks(err error, i int, cur error, curIdx int) bool {
+	if cur == nil {
+		return true
+	}
+	if c := isCancel(cur); c != isCancel(err) {
+		return c
+	}
+	return i < curIdx
+}
+
 // retryable reports whether the policy re-runs a job that failed with err.
 func (p RetryPolicy) retryable(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if isCancel(err) {
 		return false
 	}
 	if p.Retryable != nil {
@@ -180,9 +200,11 @@ func execJob(ctx context.Context, fault *faultinject.Injector, job Job) (err err
 // Run executes the jobs on a bounded worker pool and blocks until every
 // started job has finished. Workers pull jobs in submission order, so with
 // Jobs = 1 execution is exactly the serial loop. On failure the
-// lowest-index error observed is returned, in-flight jobs run to
-// completion, and queued jobs are skipped; if the parent context aborts
-// the run before every job completed, its error is returned instead.
+// lowest-index error observed is returned — preferring a real failure
+// over a context cancellation, which the abort itself may have caused in
+// a lower-index job — in-flight jobs run to completion, and queued jobs
+// are skipped; if the parent context aborts the run before every job
+// completed, its error is returned instead.
 func Run(opts Options, jobs []Job) error {
 	if len(jobs) == 0 {
 		return nil
@@ -269,7 +291,7 @@ func Run(opts Options, jobs []Job) error {
 				mu.Lock()
 				if err != nil {
 					failed++
-					if i < errIdx {
+					if outranks(err, i, firstErr, errIdx) {
 						errIdx, firstErr = i, err
 					}
 					mu.Unlock()

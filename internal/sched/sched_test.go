@@ -77,25 +77,27 @@ func TestFirstErrorAbortsQueuedJobs(t *testing.T) {
 func TestErrorCancelsContextForInFlightJobs(t *testing.T) {
 	// One job blocks on the context; another fails. The blocked job must be
 	// released — a deadlock here hangs the test (and the sweep it models).
+	// Its (wrapped) cancellation is only the abort's echo: Run must return
+	// the real failure even though the waiter has the lower index.
+	errBoom := errors.New("boom")
 	release := make(chan struct{})
 	jobs := []Job{
 		{Label: "waiter", Do: func(ctx context.Context) error {
 			close(release)
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
+				return fmt.Errorf("waiting: %w", ctx.Err())
 			case <-time.After(30 * time.Second):
 				return errors.New("never cancelled")
 			}
 		}},
 		{Label: "failer", Do: func(context.Context) error {
 			<-release // ensure the waiter is already in flight
-			return errors.New("boom")
+			return errBoom
 		}},
 	}
-	err := Run(Options{Jobs: 2}, jobs)
-	if err == nil || err.Error() != "boom" && !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want boom or context.Canceled", err)
+	if err := Run(Options{Jobs: 2}, jobs); !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want the failing job's %v", err, errBoom)
 	}
 }
 

@@ -102,6 +102,12 @@ bench-rowpress:
 # aggregate, and bounded memory (≤16 bytes/ACT across client+server, so
 # any per-ACT allocation on the hot path fails the gate).
 #
+# The serve-resumable leg replays the same sessions with report_every 1
+# into a checkpoint journal, so every segment is journaled on the replay
+# router before its partial report: it must keep ≥0.75x of serve-aggregate
+# and ≤18 bytes/ACT (the journal is indexed by file offset, never held in
+# memory).
+#
 # The multi-shard leg pins the scale-out claim: 8 single-bank tenants on
 # 4 worker shards vs 1. On a ≥4-core runner shards-4 must be ≥2x faster;
 # a smaller runner cannot scale, so the gate degrades to parity (≥0.85x,
@@ -113,6 +119,8 @@ bench-serve:
 	$(GO) run ./cmd/rhbench -i BENCH_serve.txt -o BENCH_serve.json -assert-speedup 'serve-aggregate:direct-aggregate:0.5'
 	$(GO) run ./cmd/rhbench -i BENCH_serve.txt -o /dev/null -assert-min 'serve-aggregate:acts/s:10000000'
 	$(GO) run ./cmd/rhbench -i BENCH_serve.txt -o /dev/null -assert-max 'serve-aggregate:b/act:16'
+	$(GO) run ./cmd/rhbench -i BENCH_serve.txt -o /dev/null -assert-speedup 'serve-resumable:serve-aggregate:0.75'
+	$(GO) run ./cmd/rhbench -i BENCH_serve.txt -o /dev/null -assert-max 'serve-resumable:b/act:18'
 	@if [ "$$(nproc)" -ge 4 ]; then \
 		$(GO) run ./cmd/rhbench -i BENCH_serve.txt -o /dev/null -assert-speedup 'ServeShards/shards=4:ServeShards/shards=1:2'; \
 	else \

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -21,14 +22,18 @@ import (
 // full TCP round trip — frame encode on the client, frame decode + columnar
 // trace decode + per-(tenant, bank) batched replay on the server — over the
 // same aggregate work as a direct in-process memctrl.RunBlocks sweep.
-// rhbench asserts three floors on the serve side:
+// rhbench asserts three floors on the serve side and two on its journaled
+// twin, serve-resumable:
 //
-//	serve ns/op within 2x of direct   (-assert-speedup serve:direct:0.5)
-//	aggregate throughput >= 10M ACT/s (-assert-min acts/s)
-//	bounded memory, <= 16 bytes/ACT   (-assert-max b/act)
+//	serve ns/op within 2x of direct     (-assert-speedup serve:direct:0.5)
+//	aggregate throughput >= 10M ACT/s   (-assert-min acts/s)
+//	bounded memory, <= 16 bytes/ACT     (-assert-max b/act)
+//	journaled ns/op within 4/3 of serve (-assert-speedup resumable:serve:0.75)
+//	journal not held, <= 18 bytes/ACT   (-assert-max resumable b/act)
 //
-// One op replays benchTenants tenants x benchActs ACTs on both sides, so
-// the ns/op ratio is exactly the server-path overhead factor.
+// One op replays benchTenants tenants x benchActs ACTs on every side, so
+// the ns/op ratios are exactly the server-path and journal overhead
+// factors.
 
 const (
 	benchTenants = 8
@@ -98,62 +103,79 @@ func BenchmarkServePath(b *testing.B) {
 		reportActMetrics(b, nil)
 	})
 
-	b.Run("serve-aggregate", func(b *testing.B) {
-		rec := obs.New()
-		s, err := New(Config{Addr: "127.0.0.1:0", Obs: rec, MaxTenants: benchTenants})
+	b.Run("serve-aggregate", func(b *testing.B) { benchServeAggregate(b, data, nil, 0) })
+
+	// The same sessions, each journaled segment by segment (report_every
+	// 1) into a checkpoint on disk: the resume path's whole cost.
+	b.Run("serve-resumable", func(b *testing.B) {
+		ck, err := sched.OpenCheckpoint(filepath.Join(b.TempDir(), "journal.jsonl"))
 		if err != nil {
 			b.Fatal(err)
 		}
-		go s.Serve()
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			s.Shutdown(ctx)
-		}()
+		defer ck.Close()
+		benchServeAggregate(b, data, ck, 1)
+	})
+}
 
-		// Persistent per-tenant clients would hide connection setup, but a
-		// session is one connection by protocol — dial inside the op.
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		b.SetBytes(int64(benchTenants) * int64(len(data)))
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			var wg sync.WaitGroup
-			errs := make([]error, benchTenants)
-			for tn := 0; tn < benchTenants; tn++ {
-				wg.Add(1)
-				go func(tn int) {
-					defer wg.Done()
-					c, err := Dial(s.Addr())
-					if err != nil {
-						errs[tn] = err
-						return
-					}
-					defer c.Close()
-					rep, err := c.Run(Hello{
-						Tenant: fmt.Sprintf("bench-%d", tn),
-						Scheme: "graphene", TRH: 12500, Rows: benchRows,
-					}, bytes.NewReader(data))
-					if err != nil {
-						errs[tn] = err
-						return
-					}
-					if rep.Result.ACTs != benchActs {
-						errs[tn] = fmt.Errorf("tenant %d replayed %d ACTs, want %d", tn, rep.Result.ACTs, benchActs)
-					}
-				}(tn)
-			}
-			wg.Wait()
-			for _, err := range errs {
+// benchServeAggregate replays benchTenants concurrent sessions of data per
+// op through a live daemon journaling to ck (nil: no journal), every
+// session asking for a partial report every reportEvery segments.
+func benchServeAggregate(b *testing.B, data []byte, ck *sched.Checkpoint, reportEvery int) {
+	rec := obs.New()
+	s, err := New(Config{Addr: "127.0.0.1:0", Obs: rec, MaxTenants: benchTenants, Checkpoint: ck})
+	if err != nil {
+		b.Fatal(err)
+	}
+	go s.Serve()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+
+	// Persistent per-tenant clients would hide connection setup, but a
+	// session is one connection by protocol — dial inside the op.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.SetBytes(int64(benchTenants) * int64(len(data)))
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		var wg sync.WaitGroup
+		errs := make([]error, benchTenants)
+		for tn := 0; tn < benchTenants; tn++ {
+			wg.Add(1)
+			go func(tn int) {
+				defer wg.Done()
+				c, err := Dial(s.Addr())
 				if err != nil {
-					b.Fatal(err)
+					errs[tn] = err
+					return
 				}
+				defer c.Close()
+				rep, err := c.Run(Hello{
+					Tenant: fmt.Sprintf("bench-%d", tn),
+					Scheme: "graphene", TRH: 12500, Rows: benchRows,
+					ReportEvery: reportEvery,
+				}, bytes.NewReader(data))
+				if err != nil {
+					errs[tn] = err
+					return
+				}
+				if rep.Result.ACTs != benchActs {
+					errs[tn] = fmt.Errorf("tenant %d replayed %d ACTs, want %d", tn, rep.Result.ACTs, benchActs)
+				}
+			}(tn)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
 			}
 		}
-		b.StopTimer()
-		runtime.ReadMemStats(&after)
-		reportActMetrics(b, &struct{ before, after uint64 }{before.TotalAlloc, after.TotalAlloc})
-	})
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	reportActMetrics(b, &struct{ before, after uint64 }{before.TotalAlloc, after.TotalAlloc})
 }
 
 // BenchmarkServeShards isolates the tentpole scaling claim: N worker

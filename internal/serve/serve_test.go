@@ -383,6 +383,7 @@ func TestShutdownDrains(t *testing.T) {
 	if err := writeFrame(c2.conn, FrameData, data[:half]); err != nil {
 		t.Fatal(err)
 	}
+	waitAccepted(t, s, 1)
 
 	shutdownDone := make(chan error, 1)
 	go func() {
@@ -453,6 +454,7 @@ func TestShutdownExpiredSeversConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stall: never send data, never FIN.
+	waitAccepted(t, s, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != context.DeadlineExceeded {
@@ -460,5 +462,23 @@ func TestShutdownExpiredSeversConnections(t *testing.T) {
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v", err)
+	}
+}
+
+// waitAccepted blocks until s's accept loop has taken n connections. A
+// connection still in the listen backlog is not in flight: Shutdown
+// closes the listener and the kernel resets it.
+func waitAccepted(t *testing.T, s *Server, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.connsMu.Lock()
+		got := len(s.conns)
+		s.connsMu.Unlock()
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server accepted %d connection(s), want %d", got, n)
+		}
 	}
 }

@@ -120,11 +120,19 @@ func (c *CRA) AppendOnActivate(dst []mitigation.VictimRefresh, row int, now dram
 	return append(dst, mitigation.VictimRefresh{Aggressor: row, Distance: c.cfg.Distance})
 }
 
-// AppendOnActivateBatch implements mitigation.Mitigator through the
-// shared scalar-loop adapter (the controller's batch replay still saves
-// the per-ACT dispatch and timing work around it).
+// AppendOnActivateBatch implements mitigation.Mitigator. It stops after
+// the first counter-cache miss as well as after the first append: the
+// miss's counter traffic occupies the bank before the next ACT, so the
+// controller must charge it before later start times hold.
 func (c *CRA) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	return mitigation.ScalarBatch(c, dst, rows, now, dwell)
+	for i, r := range rows {
+		pre, misses := len(dst), c.misses
+		dst = c.AppendOnActivate(dst, int(r), now[i])
+		if len(dst) > pre || c.misses > misses {
+			return dst, i + 1
+		}
+	}
+	return dst, len(rows)
 }
 
 // AppendTick implements mitigation.Mitigator; CRA takes no refresh-time

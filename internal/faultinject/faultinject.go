@@ -16,8 +16,8 @@
 //
 //	sched.job:error:3              third scheduled cell fails
 //	sched.job:panic:2              second scheduled cell panics
-//	memctrl.partition:error:5      partitioner fails at its 5th chunk
-//	memctrl.replay:delay=2ms:1     first drained chunk stalls 2 ms
+//	memctrl.partition:error:5      block router fails at its 5th block
+//	memctrl.replay:delay=2ms:1     first drained block stalls 2 ms
 //	trace.read:error:p=0.01@7      reads fail with p=1% (seed 7)
 //
 // Hit counts are global per site across goroutines (a shared atomic), so
@@ -47,12 +47,14 @@ const (
 	// job's Do, attributing the fault to that cell.
 	SiteSchedJob = "sched.job"
 
-	// SitePartition fires in the memctrl streaming partitioner each time
-	// it hands a full chunk to a bank, before the handoff.
+	// SitePartition fires in the memctrl block router each time it hands
+	// a block to a bank, before the handoff: once per routed block on
+	// memctrl.Run and memctrl.RunBlocks alike, including the partial
+	// blocks a generator run flushes at its end.
 	SitePartition = "memctrl.partition"
 
-	// SiteReplay fires in a memctrl bank goroutine each time it drains a
-	// chunk, before replaying it.
+	// SiteReplay fires in a memctrl bank job each time it drains a block,
+	// before replaying it.
 	SiteReplay = "memctrl.replay"
 
 	// SiteTraceRead fires per Read of a Reader-wrapped trace source.

@@ -1,14 +1,9 @@
 package memctrl
 
 import (
-	"context"
 	"fmt"
-	"io"
 
 	"graphene/internal/dram"
-	"graphene/internal/faultinject"
-	"graphene/internal/obs"
-	"graphene/internal/sched"
 	"graphene/internal/trace"
 )
 
@@ -25,17 +20,20 @@ const maxBatchRun = 4096
 //
 //  1. walks the occupancy recurrence forward to the event horizon — the
 //     first ACT whose arrival crosses the next auto-refresh boundary, the
-//     ACT that brings the DDR5 RAA counter to RAAIMT, or the run cap —
-//     precomputing every ACT start time in the run, with no per-ACT branch
-//     on the refresh clock or the RAA counter;
+//     ACT that brings the DDR5 RAA counter to RAAIMT, or the run cap (for
+//     a scheme with extra traffic, twice the last consumed run plus one)
+//     — precomputing every ACT start time in the run, with no per-ACT
+//     branch on the refresh clock or the RAA counter;
 //  2. hands the whole run to the mitigator's AppendOnActivateBatch, which
-//     consumes ACTs until its first append (the batch contract: an applied
-//     refresh changes the bank timeline, so later precomputed times would
-//     go stale);
+//     consumes ACTs until its first append or its first ACT that causes
+//     extra DRAM traffic (the batch contract: an applied refresh or a
+//     charged transfer changes the bank timeline, so later precomputed
+//     times would go stale);
 //  3. feeds the consumed prefix to the oracle, accounts the bank's ACT
 //     run in one ActivateRun call, issues the RFM command when the prefix
-//     ended on the RAAIMT-th ACT, and applies any refreshes at the
-//     resulting completion time — exactly when the scalar path would have.
+//     ended on the RAAIMT-th ACT, applies any refreshes at the resulting
+//     completion time, and charges the scheme's extra DRAM traffic —
+//     exactly when the scalar path would have.
 //
 // The RAA counter moves only with the ACT count, so the RFM horizon is
 // known before the walk starts (dram.Bank.ACTsToRFM) and needs no second
@@ -54,9 +52,9 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 	// With no mitigator, oracle, or remap, nothing consumes per-ACT start
 	// times, so the horizon walk collapses to the bare occupancy recurrence
 	// with no scratch writes — the trigger-light floor the bench-replay gate
-	// asserts on. Rows were range-validated upstream (the streaming
-	// partitioner or the columnar block router), matching the protected
-	// path, which also defers the range check to its oracle/remap loop.
+	// asserts on. Rows were range-validated upstream by replayBlock,
+	// matching the protected path, which also defers the range check to
+	// its oracle/remap loop.
 	// A dwell column disqualifies the collapse: per-ACT occupancy varies.
 	pureTiming := s.mit == nil && s.oracle == nil && s.remap == nil && dwells == nil
 	for i < n {
@@ -117,6 +115,13 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 		now := s.now
 		horizon := s.nextREF
 		runCap := min(maxBatchRun, s.bank.ACTsToRFM())
+		if s.extraFn != nil {
+			// A scheme with extra traffic ends its batch at every miss, so
+			// on a miss-heavy stream a walk to the horizon would cost the
+			// ACTs left before it for each ACT consumed. Grow the walk from
+			// the last consumed run instead: a streak of hits doubles it.
+			runCap = min(runCap, 2*s.lastRun+1)
+		}
 		times := s.runTimes[:0]
 		j := i
 		if dwells == nil {
@@ -193,6 +198,7 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 			}
 			consumed = nc
 		}
+		s.lastRun = consumed
 		end := times[consumed-1] + trc
 		if dwells != nil {
 			if c := dwells[i+consumed-1] + timing.TRP; c > trc {
@@ -244,157 +250,11 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 				return err
 			}
 		}
-		s.now = end
-		i += consumed
-	}
-	return nil
-}
-
-// ColBlockSource streams a trace as columnar per-bank blocks — the shape
-// trace.BlockReader.NextCols produces. The contract mirrors BlockSource:
-// every row/gap pair of a returned block belongs to ColBlock.Bank in
-// stream order, buf's columns are reused for the block's backing storage,
-// and io.EOF marks a clean end of trace. A BlockSource that also
-// implements ColBlockSource (trace.BlockReader does) is replayed
-// columnarly by RunBlocks: decoded columns feed the batch core directly,
-// with no per-access structs materialized in between.
-type ColBlockSource interface {
-	Name() string
-	NextCols(buf trace.ColBlock) (trace.ColBlock, error)
-}
-
-// replayColBlocks is replayBlocks for a columnar source: same router, same
-// shared buffer budget, same error discipline — only the payload shape and
-// the bank-side replay differ.
-func replayColBlocks(cfg Config, src ColBlockSource, states []*bankState) ([]bankOut, error) {
-	nbanks := len(states)
-	outs := make([]bankOut, nbanks)
-
-	budget := nbanks*(blockDepth+1) + 1
-	free := make(chan trace.ColBlock, budget)
-	made := 0
-	buffer := func() trace.ColBlock {
-		select {
-		case b := <-free:
-			return b
-		default:
-		}
-		if made < budget {
-			made++
-			return trace.ColBlock{} // NextCols sizes the columns to the block
-		}
-		return <-free
-	}
-
-	chans := make([]chan trace.ColBlock, nbanks)
-	jobs := make([]sched.Job, nbanks)
-	for bi := range states {
-		chans[bi] = make(chan trace.ColBlock, blockDepth)
-		bi := bi
-		jobs[bi] = sched.Job{
-			Label: fmt.Sprintf("bank %d", bi),
-			Do: func(context.Context) error {
-				s, out := states[bi], &outs[bi]
-				for blk := range chans[bi] {
-					if out.err == nil {
-						out.err = replayColBlock(cfg, nbanks, s, bi, out, blk)
-					}
-					// Recycle even after an error: the router may be blocked
-					// waiting for a free buffer. The free channel holds the
-					// whole budget, so this send never blocks.
-					free <- trace.ColBlock{Rows: blk.Rows[:0], Gaps: blk.Gaps[:0], Dwells: blk.Dwells[:0]}
-				}
-				return nil
-			},
-		}
-	}
-
-	routed := make(chan error, 1)
-	go func() {
-		routed <- func() error {
-			defer func() {
-				for _, c := range chans {
-					close(c)
-				}
-			}()
-			for {
-				blk, err := src.NextCols(buffer())
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				if blk.Bank < 0 || blk.Bank >= nbanks {
-					row := 0
-					if len(blk.Rows) > 0 {
-						row = int(blk.Rows[0])
-					}
-					return validateAccess(cfg, nbanks, trace.Access{Bank: blk.Bank, Row: row})
-				}
-				if err := cfg.Fault.Hit(faultinject.SitePartition); err != nil {
-					return err
-				}
-				chans[blk.Bank] <- blk
-			}
-		}()
-	}()
-
-	if err := sched.Run(sched.Options{Jobs: nbanks}, jobs); err != nil {
-		<-routed
-		return nil, err
-	}
-	if err := <-routed; err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// replayColBlock validates and replays one columnar block on its bank —
-// replayBlock's columnar twin: same checks and validate_fail events, same
-// panic recovery and fault site, same one progress event per block.
-func replayColBlock(cfg Config, nbanks int, s *bankState, bi int, out *bankOut, blk trace.ColBlock) (err error) {
-	for _, r := range blk.Rows {
-		if err := validateAccess(cfg, nbanks, trace.Access{Bank: blk.Bank, Row: int(r)}); err != nil {
+		if err := s.chargeExtra(end); err != nil {
 			return err
 		}
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("memctrl: bank %d: replay panic: %v", bi, r)
-		}
-	}()
-	if err := cfg.Fault.Hit(faultinject.SiteReplay); err != nil {
-		return fmt.Errorf("memctrl: bank %d: %w", bi, err)
-	}
-	// A segment without the dwell column decodes to a length-zero Dwells
-	// slice; nil here routes the run down the fixed-tRC fast path.
-	var dwells []dram.Time
-	if len(blk.Dwells) != 0 {
-		dwells = blk.Dwells
-	}
-	if s.useScalar {
-		for k, r := range blk.Rows {
-			a := trace.Access{Bank: blk.Bank, Row: int(r), Gap: blk.Gaps[k]}
-			if dwells != nil {
-				a.Dwell = dwells[k]
-			}
-			if err := s.replayOne(a, bi, out); err != nil {
-				return err
-			}
-		}
-	} else if err := s.replayRun(blk.Rows, blk.Gaps, dwells, bi, out); err != nil {
-		return err
-	}
-	if cfg.Obs != nil {
-		scheme := "none"
-		if s.mit != nil {
-			scheme = s.mit.Name()
-		}
-		cfg.Obs.Emit(obs.Event{
-			Kind: obs.KindReplayChunk, Scheme: scheme,
-			Bank: bi, Time: int64(s.now), Value: out.acts,
-		})
+		s.now = end
+		i += consumed
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"graphene/internal/cra"
 	"graphene/internal/dram"
 	"graphene/internal/graphene"
 	"graphene/internal/hammer"
@@ -37,6 +38,9 @@ func benchmarkReplayRun(b *testing.B, timing dram.Timing, factory mitigation.Fac
 			b.Fatal(err)
 		}
 		s.mit = m
+		if x, ok := m.(interface{ ExtraDRAMAccesses() int64 }); ok {
+			s.extraFn = x.ExtraDRAMAccesses
+		}
 	}
 	if withOracle {
 		if s.oracle, err = hammer.NewOracle(hotRows, 1<<40, 1, nil); err != nil {
@@ -112,6 +116,30 @@ func BenchmarkReplayEngine(b *testing.B) {
 		})
 		b.Run(side.name+"-trigger-heavy", func(b *testing.B) {
 			benchmarkReplayRun(b, timing, heavy, false, side.scalar, true)
+		})
+	}
+}
+
+// BenchmarkReplayCRA races the same pair for CRA, the one scheme with
+// extra DRAM traffic: its batch stops after every counter-cache miss, and
+// the bank is charged the miss's stall before the next ACT. The resident
+// leg cycles two rows that stay cached (a miss only on the first ACT);
+// the streaming leg scatters rows across the bank, so every ACT misses
+// CRA's 128-line cache and ends its batch. CRA's LRU allocates on every
+// miss, so these legs sit outside BenchmarkReplayEngine's zero-alloc gate.
+func BenchmarkReplayCRA(b *testing.B) {
+	timing := dram.DDR4()
+	factory := cra.Factory(cra.Config{TRH: 50000, Rows: hotRows})
+	for _, side := range []struct {
+		name   string
+		scalar bool
+	}{{"batch", false}, {"scalar", true}} {
+		side := side
+		b.Run(side.name+"-resident", func(b *testing.B) {
+			benchmarkReplayRun(b, timing, factory, false, side.scalar, true)
+		})
+		b.Run(side.name+"-streaming", func(b *testing.B) {
+			benchmarkReplayRun(b, timing, factory, false, side.scalar, false)
 		})
 	}
 }

@@ -1,10 +1,10 @@
 package memctrl
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
+	"graphene/internal/cra"
 	"graphene/internal/dram"
 	"graphene/internal/graphene"
 	"graphene/internal/mitigation"
@@ -12,44 +12,11 @@ import (
 	"graphene/internal/trr"
 )
 
-// structOnlySource hides trace.BlockReader's columnar decoder, so the
-// struct-block router (replayBlocks) keeps differential coverage now that
-// RunBlocks prefers the columnar path for sources that offer it.
-type structOnlySource struct{ br *trace.BlockReader }
-
-func (s structOnlySource) Name() string { return s.br.Name() }
-func (s structOnlySource) Next(buf []trace.Access) (trace.Block, error) {
-	return s.br.Next(buf)
-}
-
-// TestBlockStructRouterMatchesBuffered pins the struct-block ingest path
-// against the buffered oracle over every differential fixture — the same
-// gate TestBlockDirectMatchesBuffered applies to the columnar path.
-func TestBlockStructRouterMatchesBuffered(t *testing.T) {
-	for _, tc := range diffCases(t) {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := runBuffered(tc.mkCfg(), tc.mkGen())
-			if err != nil {
-				t.Fatalf("buffered: %v", err)
-			}
-			got, err := RunBlocks(tc.mkCfg(), structOnlySource{blockSourceFor(t, tc.mkGen())})
-			if err != nil {
-				t.Fatalf("struct-block: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("struct-block result diverges from buffered:\n got %+v\nwant %+v", got, want)
-			}
-			checkRFM(t, tc.mkCfg(), got)
-		})
-	}
-}
-
-// TestReplayBatchZeroAlloc is TestReplayHotPathZeroAlloc for the batched
-// replay core: after warmup, a chunk replay through replayRun — horizon
-// slicing, mitigator batch, oracle prefix, ActivateRun, refresh apply —
-// performs no heap allocation at all (the AllocsPerRun acceptance floor of
-// ISSUE 7).
+// TestReplayBatchZeroAlloc is TestReplayHotPathZeroAlloc for the block
+// replay the router runs on every bank: after warmup, replayBlock — row
+// validation, horizon slicing, mitigator batch, oracle prefix,
+// ActivateRun, refresh apply — performs no heap allocation at all (the
+// AllocsPerRun acceptance floor of the batched replay engine).
 func TestReplayBatchZeroAlloc(t *testing.T) {
 	timing, ddr5 := dram.DDR4(), dram.DDR5()
 	cases := []struct {
@@ -66,9 +33,8 @@ func TestReplayBatchZeroAlloc(t *testing.T) {
 			trr.Factory(trr.Config{Rows: hotRows, Seed: 7}),
 			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}),
 		), false, 0},
-		// Dwell-column legs: the transposed column, the per-ACT ActCycle
-		// horizon walk, and the rowpress weighted-observe path must all
-		// stay allocation-free too.
+		// Dwell-column legs: the per-ACT ActCycle horizon walk and the
+		// rowpress weighted-observe path must stay allocation-free too.
 		{"unprotected-dwell", timing, nil, false, timing.NRAS()},
 		{"graphene-rowpress-dwell", timing,
 			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing, Rowpress: true}),
@@ -85,33 +51,42 @@ func TestReplayBatchZeroAlloc(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := hotState(t, tc.timing, tc.factory)
 			var out bankOut
-			cfg := Config{}
-			const chunkLen = 512
-			chunk := make([]trace.Access, chunkLen)
+			cfg := Config{Geometry: oneBank(hotRows)}
+			const blockLen = 512
+			blk := trace.ColBlock{Rows: make([]int32, blockLen), Gaps: make([]dram.Time, blockLen)}
+			if tc.dwell != 0 {
+				blk.Dwells = make([]dram.Time, blockLen)
+			}
+			for j := range blk.Gaps {
+				blk.Gaps[j] = 50 * dram.Nanosecond
+			}
+			for j := range blk.Dwells {
+				blk.Dwells[j] = tc.dwell
+			}
 			fill := func(base int) {
-				for j := range chunk {
-					chunk[j] = trace.Access{Row: hotRow(base+j, tc.hammerPair), Gap: 50 * dram.Nanosecond, Dwell: tc.dwell}
+				for j := range blk.Rows {
+					blk.Rows[j] = int32(hotRow(base+j, tc.hammerPair))
 				}
 			}
-			// Warm every recycled buffer: the columnar transpose, the run
-			// time scratch, scheme tables, vrScratch, flipStage, and (in
-			// the trigger-heavy case) the NRR apply path.
+			// Warm every recycled buffer: the run time scratch, scheme
+			// tables, vrScratch, flipStage, and (in the trigger-heavy case)
+			// the NRR apply path.
 			i := 0
 			for ; i < 16; i++ {
-				fill(i * chunkLen)
-				if err := replayChunk(cfg, s, 0, &out, chunk); err != nil {
+				fill(i * blockLen)
+				if err := replayBlock(cfg, 1, s, 0, &out, blk); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(50, func() {
-				fill(i * chunkLen)
+				fill(i * blockLen)
 				i++
-				if err := replayChunk(cfg, s, 0, &out, chunk); err != nil {
+				if err := replayBlock(cfg, 1, s, 0, &out, blk); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("batched replayChunk allocated %.2f times per chunk, want exactly 0", allocs)
+				t.Errorf("replayBlock allocated %.2f times per block, want exactly 0", allocs)
 			}
 		})
 	}
@@ -151,5 +126,63 @@ func TestBatchContractViolationFails(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "batch consumed") {
 			t.Errorf("consumed=%d: err = %v, want a batch-contract error", consumed, err)
 		}
+	}
+}
+
+// offerCounter forwards to a CRA engine and counts the ACTs replayRun
+// offers its batch call, i.e. how far each walk ahead of a batch reached.
+type offerCounter struct {
+	*cra.CRA
+	calls, offered int
+}
+
+func (o *offerCounter) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
+	o.calls++
+	o.offered += len(rows)
+	return o.CRA.AppendOnActivateBatch(dst, rows, now, dwell)
+}
+
+// TestExtraTrafficWalkBounded: a scheme with extra traffic ends its batch
+// at every counter-cache miss, so replayRun sizes the walk ahead of each
+// batch from the last one's consumed count instead of walking to the
+// refresh horizon. On a stream that misses on every ACT the walk must
+// offer at most three ACTs per ACT replayed (walking to the horizon
+// offers dozens); on a cache-resident stream it must still grow to long
+// runs.
+func TestExtraTrafficWalkBounded(t *testing.T) {
+	const acts = 8 * streamChunk
+	for _, tc := range []struct {
+		name      string
+		streaming bool
+	}{{"streaming", true}, {"resident", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var oc *offerCounter
+			cfg := Config{
+				Geometry: oneBank(hotRows), Timing: dram.DDR4(),
+				Factory: func() (mitigation.Mitigator, error) {
+					c, err := cra.New(cra.Config{TRH: 50000, Rows: hotRows})
+					oc = &offerCounter{CRA: c}
+					return oc, err
+				},
+			}
+			accs := make([]trace.Access, acts)
+			for i := range accs {
+				accs[i] = trace.Access{Row: hotRow(i, !tc.streaming), Gap: 50 * dram.Nanosecond}
+			}
+			res, err := Run(cfg, trace.FromSlice("cra", accs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			perACT := float64(oc.offered) / acts
+			perCall := float64(oc.offered) / float64(oc.calls)
+			t.Logf("%d batch calls, %.2f ACTs offered per ACT, %.1f per call, %d extra accesses",
+				oc.calls, perACT, perCall, res.ExtraDRAMAccesses)
+			if tc.streaming && perACT > 3 {
+				t.Errorf("walk offered %.2f ACTs per replayed ACT on a miss-every-ACT stream, want <= 3", perACT)
+			}
+			if !tc.streaming && perCall < 16 {
+				t.Errorf("walk offered %.1f ACTs per batch call on a cache-resident stream, want >= 16", perCall)
+			}
+		})
 	}
 }

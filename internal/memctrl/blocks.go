@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 
+	"graphene/internal/dram"
 	"graphene/internal/faultinject"
+	"graphene/internal/obs"
 	"graphene/internal/sched"
 	"graphene/internal/trace"
 )
@@ -16,50 +18,43 @@ import (
 // enough to keep banks busy while bounding peak memory.
 const blockDepth = 2
 
-// BlockSource streams a trace as per-bank blocks — the shape
-// trace.BlockReader produces from the binary format. Next must follow that
-// reader's contract: every access in a returned block belongs to
-// Block.Bank in stream order, buf[:0] is reused for the block's backing
-// storage, and io.EOF marks a clean end of trace.
+// BlockSource streams a trace as columnar per-bank blocks — the shape
+// trace.BlockReader.NextCols produces from the binary format. NextCols
+// must follow that reader's contract: every row/gap pair of a returned
+// block belongs to ColBlock.Bank in stream order, buf's columns are reused
+// for the block's backing storage, a block without an open-row dwell
+// leaves Dwells empty, and io.EOF marks a clean end of trace.
 type BlockSource interface {
 	Name() string
-	Next(buf []trace.Access) (trace.Block, error)
+	NextCols(buf trace.ColBlock) (trace.ColBlock, error)
 }
 
 // RunBlocks replays a pre-partitioned block stream to completion under
-// cfg. It is Run for the binary trace format: the serial partitioner
-// disappears — the router hands each decoded block straight to its bank's
-// replay goroutine on the sched pool — and per-bank access order is the
-// block stream's order, so the Result is byte-identical to Run over the
-// same trace (the golden differential suite pins this for every recorded
-// scheme×workload cell).
-//
-// A source that also implements ColBlockSource (trace.BlockReader does)
-// is routed columnarly: decoded row/gap columns feed the batched replay
-// core directly, with no per-access structs materialized anywhere between
-// the codec and the mitigator (batch.go).
+// cfg. It is Run for the binary trace format: the router hands each
+// decoded block straight to its bank's replay goroutine on the sched pool,
+// and decoded row/gap columns feed the batched replay core directly, with
+// no per-access structs materialized anywhere between the codec and the
+// mitigator (batch.go). Per-bank access order is the block stream's order,
+// so the Result is byte-identical to Run over the same trace (the golden
+// differential suite pins this for every recorded scheme×workload cell).
 func RunBlocks(cfg Config, src BlockSource) (Result, error) {
-	if cs, ok := src.(ColBlockSource); ok {
-		return run(cfg, src.Name(), func(cfg Config, states []*bankState) ([]bankOut, error) {
-			return replayColBlocks(cfg, cs, states)
-		})
-	}
 	return run(cfg, src.Name(), func(cfg Config, states []*bankState) ([]bankOut, error) {
 		return replayBlocks(cfg, src, states)
 	})
 }
 
 // replayBlocks routes src's blocks into per-bank channels drained by one
-// sched job per bank. Block buffers recycle through a shared free pool:
-// the router decodes into a recycled buffer, the bank job returns it after
-// replay, so steady-state allocation is O(banks × blockDepth) buffers
-// regardless of trace length.
+// sched job per bank. It is the only ingest route: Run hands it a
+// generator adapter (stream.go), RunBlocks a decoder. Block buffers
+// recycle through a shared free pool: the router decodes into a recycled
+// buffer, the bank job returns it after replay, so steady-state allocation
+// is O(banks × blockDepth) buffers regardless of trace length.
 //
-// Error discipline mirrors the streaming path: a bank job stores its first
-// error in its bankOut and keeps draining (never failing the pool, which
-// would strand the router mid-send), and a router error — decode failure,
-// out-of-range bank, injected partition fault — fails the run even if
-// every started bank replayed cleanly.
+// Error discipline: a bank job stores its first error in its bankOut and
+// keeps draining (never failing the pool, which would strand the router
+// mid-send), and a router error — decode failure, out-of-range access,
+// injected partition fault — fails the run even if every started bank
+// replayed cleanly.
 func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, error) {
 	nbanks := len(states)
 	outs := make([]bankOut, nbanks)
@@ -69,9 +64,9 @@ func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, 
 	// decoded); buffers allocate lazily, so a trace touching few banks
 	// circulates few buffers.
 	budget := nbanks*(blockDepth+1) + 1
-	free := make(chan []trace.Access, budget)
+	free := make(chan trace.ColBlock, budget)
 	made := 0
-	buffer := func() []trace.Access {
+	buffer := func() trace.ColBlock {
 		select {
 		case b := <-free:
 			return b
@@ -79,15 +74,15 @@ func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, 
 		}
 		if made < budget {
 			made++
-			return nil // Next appends; the buffer sizes itself to its block
+			return trace.ColBlock{} // the source sizes the columns to the block
 		}
 		return <-free
 	}
 
-	chans := make([]chan trace.Block, nbanks)
+	chans := make([]chan trace.ColBlock, nbanks)
 	jobs := make([]sched.Job, nbanks)
 	for bi := range states {
-		chans[bi] = make(chan trace.Block, blockDepth)
+		chans[bi] = make(chan trace.ColBlock, blockDepth)
 		bi := bi
 		jobs[bi] = sched.Job{
 			Label: fmt.Sprintf("bank %d", bi),
@@ -95,12 +90,12 @@ func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, 
 				s, out := states[bi], &outs[bi]
 				for blk := range chans[bi] {
 					if out.err == nil {
-						out.err = replayBlock(cfg, nbanks, s, bi, out, blk.Accs)
+						out.err = replayBlock(cfg, nbanks, s, bi, out, blk)
 					}
 					// Recycle even after an error: the router may be blocked
 					// waiting for a free buffer. The free channel holds the
 					// whole budget, so this send never blocks.
-					free <- blk.Accs[:0]
+					free <- trace.ColBlock{Rows: blk.Rows[:0], Gaps: blk.Gaps[:0], Dwells: blk.Dwells[:0]}
 				}
 				// Errors live in outs: failing the pool would cancel sibling
 				// jobs and strand the router mid-send.
@@ -118,7 +113,7 @@ func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, 
 				}
 			}()
 			for {
-				blk, err := src.Next(buffer())
+				blk, err := src.NextCols(buffer())
 				if err == io.EOF {
 					return nil
 				}
@@ -128,10 +123,10 @@ func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, 
 				if blk.Bank < 0 || blk.Bank >= nbanks {
 					// Route the whole block through the shared validator so
 					// the failure emits the same validate_fail event an
-					// out-of-range access does on the streaming path.
+					// out-of-range access does on the buffered path.
 					row := 0
-					if len(blk.Accs) > 0 {
-						row = blk.Accs[0].Row
+					if len(blk.Rows) > 0 {
+						row = int(blk.Rows[0])
 					}
 					return validateAccess(cfg, nbanks, trace.Access{Bank: blk.Bank, Row: row})
 				}
@@ -155,15 +150,50 @@ func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, 
 	return outs, nil
 }
 
-// replayBlock validates and replays one block on its bank. The streaming
-// path validates in the serial partitioner; here validation rides with the
-// bank job — same checks, same validate_fail events — so the router stays
-// on its decode hot path.
-func replayBlock(cfg Config, nbanks int, s *bankState, bi int, out *bankOut, accs []trace.Access) error {
-	for _, a := range accs {
-		if err := validateAccess(cfg, nbanks, a); err != nil {
-			return err
+// replayBlock validates and replays one block on its bank. Validation
+// rides with the bank job — the same checks and validate_fail events as
+// the buffered path — so the router stays on its decode hot path. A panic
+// anywhere in the replay (a buggy scheme, or an injected fault) is
+// recovered into the bank's error instead of crashing the process: the
+// job keeps draining and recycling blocks, so the router never deadlocks
+// behind a dead consumer.
+func replayBlock(cfg Config, nbanks int, s *bankState, bi int, out *bankOut, blk trace.ColBlock) (err error) {
+	// Range-check inline: validateAccess copies Config, so it only builds
+	// the error.
+	nrows := s.bank.Rows()
+	for _, r := range blk.Rows {
+		if r < 0 || int(r) >= nrows {
+			return validateAccess(cfg, nbanks, trace.Access{Bank: blk.Bank, Row: int(r)})
 		}
 	}
-	return replayChunk(cfg, s, bi, out, accs)
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("memctrl: bank %d: replay panic: %v", bi, r)
+		}
+	}()
+	if err := cfg.Fault.Hit(faultinject.SiteReplay); err != nil {
+		return fmt.Errorf("memctrl: bank %d: %w", bi, err)
+	}
+	// A block without the dwell column carries a length-zero Dwells slice;
+	// nil here routes the run down the fixed-tRC fast path.
+	var dwells []dram.Time
+	if len(blk.Dwells) != 0 {
+		dwells = blk.Dwells
+	}
+	if err := s.replayRun(blk.Rows, blk.Gaps, dwells, bi, out); err != nil {
+		return err
+	}
+	if cfg.Obs != nil {
+		// One progress event per block: coarse enough to stay off the
+		// per-ACT path, fine enough that a stuck sweep is visible mid-run.
+		scheme := "none"
+		if s.mit != nil {
+			scheme = s.mit.Name()
+		}
+		cfg.Obs.Emit(obs.Event{
+			Kind: obs.KindReplayChunk, Scheme: scheme,
+			Bank: bi, Time: int64(s.now), Value: out.acts,
+		})
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package memctrl
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -45,6 +46,64 @@ func TestBlockDirectMatchesBuffered(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("block-direct result diverges from buffered:\n got %+v\nwant %+v", got, want)
+			}
+			checkRFM(t, tc.mkCfg(), got)
+		})
+	}
+}
+
+// blockOrder encodes gen into the binary trace format and returns its
+// accesses as Access structs in block order: each decoded block's
+// accesses in turn, so banks arrive in runs, bank-major within each
+// segment, with every bank's own access order intact.
+func blockOrder(t testing.TB, gen trace.Generator) trace.Generator {
+	t.Helper()
+	br := blockSourceFor(t, gen)
+	var accs []trace.Access
+	var buf trace.ColBlock
+	for {
+		blk, err := br.NextCols(buf)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("NextCols: %v", err)
+		}
+		for i, r := range blk.Rows {
+			a := trace.Access{Bank: blk.Bank, Row: int(r), Gap: blk.Gaps[i]}
+			if len(blk.Dwells) != 0 {
+				a.Dwell = blk.Dwells[i]
+			}
+			accs = append(accs, a)
+		}
+		buf = blk
+	}
+	return trace.FromSlice(br.Name(), accs)
+}
+
+// TestBlockStructRouterMatchesBuffered pins the struct-access ingest path
+// — Run's generator adapter, which cuts Access structs into column blocks
+// for the block router — against the buffered oracle over every
+// differential fixture, fed in block order rather than the generator's
+// own, as a source of struct blocks delivers it. A Result depends only on
+// each bank's access order, so the adapter must re-cut the reordered
+// stream into the same per-bank blocks and match the buffered replay of
+// the original stream. The name is historical: the struct router it first
+// compared is gone, and the adapter is what now takes struct input.
+func TestBlockStructRouterMatchesBuffered(t *testing.T) {
+	for _, tc := range diffCases(t) {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := runBuffered(tc.mkCfg(), tc.mkGen())
+			if err != nil {
+				t.Fatalf("buffered: %v", err)
+			}
+			got, err := Run(tc.mkCfg(), blockOrder(t, tc.mkGen()))
+			if err != nil {
+				t.Fatalf("struct-block: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("struct-block result diverges from buffered:\n got %+v\nwant %+v", got, want)
 			}
 			checkRFM(t, tc.mkCfg(), got)
 		})

@@ -15,7 +15,6 @@ package memctrl
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"graphene/internal/dram"
@@ -58,10 +57,11 @@ type Config struct {
 	Obs *obs.Recorder
 
 	// Fault, when non-nil, arms the replay's fault-injection points
-	// (DESIGN.md §8): faultinject.SitePartition in the streaming
-	// partitioner at every chunk handoff and faultinject.SiteReplay in
-	// each bank goroutine at every chunk drain. Nil (the default) costs
-	// one nil check per chunk, never per ACT.
+	// (DESIGN.md §8): faultinject.SitePartition in the block router at
+	// every routed block — on Run and RunBlocks alike, including a
+	// generator run's final partial blocks — and faultinject.SiteReplay in
+	// each bank job at every block drain. Nil (the default) costs one nil
+	// check per block, never per ACT.
 	Fault *faultinject.Injector
 }
 
@@ -181,22 +181,12 @@ type bankState struct {
 	flipStage    []hammer.Flip
 	remapScratch []int
 
-	// useScalar routes this bank's chunks through the per-ACT reference
-	// loop instead of the batched replay core (batch.go): set for schemes
-	// whose extra-DRAM-traffic stall must interleave with every ACT
-	// (CRA's counter cache) and for geometries whose rows overflow the
-	// batch path's int32 columns. DDR5 RFM is not a reason: the batch
-	// core caps its runs at the RFM horizon.
-	useScalar bool
-
-	// Columnar batch scratch (DESIGN.md §11): colRows/colGaps/colDwells
-	// hold a struct chunk transposed for the batch core (colDwells only
-	// fills for chunks that carry an open-row dwell); runTimes holds the
-	// precomputed ACT start times of the current event-horizon run.
-	colRows   []int32
-	colGaps   []dram.Time
-	colDwells []dram.Time
-	runTimes  []dram.Time
+	// runTimes holds the precomputed ACT start times of the current
+	// event-horizon run (batch.go, DESIGN.md §11); lastRun is how many
+	// of them the last protected run consumed, which sizes the next walk
+	// for a scheme with extra traffic.
+	runTimes []dram.Time
+	lastRun  int
 
 	// Batch-of-one scratch: the scalar replayOne routes a dwell-carrying
 	// ACT through the mitigator's batch entry point (the only one that
@@ -214,18 +204,20 @@ func (s *bankState) phys(row int) int {
 	return s.remap.ToPhysical(row)
 }
 
-// Run replays gen to completion under cfg. The trace is streamed into the
-// per-bank replay goroutines through bounded chunked channels (stream.go),
-// so memory stays O(banks × chunk) regardless of trace length.
+// Run replays gen to completion under cfg. The generator enters the same
+// block router as RunBlocks' decoded traces, cut into per-bank column
+// blocks (stream.go), so memory stays O(banks × block) regardless of trace
+// length.
 func Run(cfg Config, gen trace.Generator) (Result, error) {
 	return run(cfg, gen.Name(), func(cfg Config, states []*bankState) ([]bankOut, error) {
-		return replayStreaming(cfg, gen, states)
+		return replayBlocks(cfg, newGenSource(cfg, gen), states)
 	})
 }
 
 // runBuffered replays through the original O(total ACTs)-memory path that
-// materialized the whole stream into per-bank slices before replaying. The
-// differential tests keep it as the oracle for the streaming path.
+// materialized the whole stream into per-bank slices before replaying each
+// access through replayOne. The differential tests keep it as the oracle
+// for the block router and the batch core.
 func runBuffered(cfg Config, gen trace.Generator) (Result, error) {
 	return run(cfg, gen.Name(), func(cfg Config, states []*bankState) ([]bankOut, error) {
 		return replayBuffered(cfg, gen, states)
@@ -235,9 +227,8 @@ func runBuffered(cfg Config, gen trace.Generator) (Result, error) {
 // replayFunc partitions the trace across the per-bank goroutines and
 // replays it, returning one bankOut per bank. Implementations must
 // preserve the per-bank access order and must not touch states after
-// returning. The generator-driven strategies (stream.go, buffered.go) are
-// adapted into this shape by the entry points above; the block-direct path
-// (blocks.go) pulls from a BlockSource instead.
+// returning: the block router (blocks.go) behind Run and RunBlocks, and
+// the buffered reference (buffered.go).
 type replayFunc func(cfg Config, states []*bankState) ([]bankOut, error)
 
 // bankOut is one bank goroutine's share of the run.
@@ -249,8 +240,8 @@ type bankOut struct {
 
 // validateAccess bounds-checks one access against the configured geometry.
 // A rejected access is also reported as a validate_fail event: a sweep
-// watching the event stream sees the failure the moment the partitioner
-// hits it, not when the run's error finally surfaces.
+// watching the event stream sees the failure the moment ingest hits it,
+// not when the run's error finally surfaces.
 func validateAccess(cfg Config, nbanks int, a trace.Access) error {
 	err := func() error {
 		if a.Bank < 0 || a.Bank >= nbanks {
@@ -277,6 +268,11 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 		return Result{}, err
 	}
 
+	// Rows replay as int32 columns, and a bigger bank would try to allocate
+	// 16 GiB of refresh timestamps in dram.NewBank before replay starts.
+	if cfg.Geometry.RowsPerBank > trace.MaxRow+1 {
+		return Result{}, fmt.Errorf("memctrl: %d rows per bank exceeds limit %d", cfg.Geometry.RowsPerBank, trace.MaxRow+1)
+	}
 	if cfg.Remap != nil && cfg.Remap.Rows() != cfg.Geometry.RowsPerBank {
 		return Result{}, fmt.Errorf("memctrl: remapper covers %d rows, bank has %d", cfg.Remap.Rows(), cfg.Geometry.RowsPerBank)
 	}
@@ -317,7 +313,6 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 			// accesses weigh exactly 1, so legacy streams are unchanged.
 			s.oracle.SetNRAS(cfg.Timing.NRAS())
 		}
-		s.useScalar = s.extraFn != nil || cfg.Geometry.RowsPerBank > math.MaxInt32
 		states[i] = s
 	}
 
@@ -447,19 +442,29 @@ func (s *bankState) replayOne(a trace.Access, bi int, out *bankOut) error {
 		if err := s.apply(s.vrScratch, done); err != nil {
 			return err
 		}
-		if s.extraFn != nil {
-			// Charge the scheme's extra DRAM traffic (counter
-			// reads/writebacks) as bank occupancy, one column access (tCL)
-			// per transfer.
-			if delta := s.extraFn() - s.lastExtra; delta > 0 {
-				s.lastExtra += delta
-				if _, err := s.bank.Stall(done, dram.Time(delta)*s.bank.Timing().TCL); err != nil {
-					return err
-				}
-			}
+		if err := s.chargeExtra(done); err != nil {
+			return err
 		}
 	}
 	s.now = done
+	return nil
+}
+
+// chargeExtra charges the scheme's extra DRAM traffic since the last
+// charge (CRA's counter reads and writebacks) as bank occupancy at `at`,
+// one column access (tCL) per transfer. replayOne and replayRun call it
+// right after applying refreshes; replayRun can because a scheme with
+// extra traffic stops its batch after the ACT that caused it.
+func (s *bankState) chargeExtra(at dram.Time) error {
+	if s.extraFn == nil {
+		return nil
+	}
+	if delta := s.extraFn() - s.lastExtra; delta > 0 {
+		s.lastExtra += delta
+		if _, err := s.bank.Stall(at, dram.Time(delta)*s.bank.Timing().TCL); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package memctrl
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"graphene/internal/cra"
@@ -178,6 +180,29 @@ func TestRunRejectsOutOfRangeAccesses(t *testing.T) {
 	}
 	if _, err := Run(cfg, trace.FromSlice("bad", []trace.Access{{Bank: 0, Row: 64}})); err == nil {
 		t.Error("accepted out-of-range row")
+	}
+}
+
+// TestRunRejectsOversizedBank: a bank with more rows than the int32 row
+// columns address fails Run and RunBlocks up front. The factory, which
+// run() calls right after building each bank, must never be reached:
+// building the bank alone means a 16 GiB timestamp array.
+func TestRunRejectsOversizedBank(t *testing.T) {
+	cfg := Config{
+		Geometry: oneBank(trace.MaxRow + 2), Timing: smallTiming(),
+		Factory: func() (mitigation.Mitigator, error) {
+			t.Error("bank built for an oversized geometry")
+			return nil, errors.New("unreachable")
+		},
+	}
+	accs := []trace.Access{{Bank: 0, Row: 1}}
+	_, err := Run(cfg, trace.FromSlice("big", accs))
+	if err == nil || !strings.Contains(err.Error(), "rows per bank") {
+		t.Errorf("Run: err = %v, want the rows-per-bank limit", err)
+	}
+	_, err = RunBlocks(cfg, blockSourceFor(t, trace.FromSlice("big", accs)))
+	if err == nil || !strings.Contains(err.Error(), "rows per bank") {
+		t.Errorf("RunBlocks: err = %v, want the rows-per-bank limit", err)
 	}
 }
 

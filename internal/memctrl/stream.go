@@ -1,185 +1,98 @@
 package memctrl
 
 import (
-	"fmt"
-	"sync"
+	"io"
 
 	"graphene/internal/dram"
-	"graphene/internal/faultinject"
-	"graphene/internal/obs"
 	"graphene/internal/trace"
 )
 
-const (
-	// streamChunk is the number of accesses handed from the partitioner to
-	// a bank's replay goroutine at a time. Large enough to amortize channel
-	// synchronization across thousands of accesses, small enough that
-	// per-bank buffering stays in cache.
-	streamChunk = 2048
+// streamChunk is the number of one bank's accesses a generator replay
+// hands to that bank's replay goroutine at a time. Large enough to
+// amortize channel synchronization across thousands of accesses, small
+// enough that per-bank buffering stays in cache. Each block emits one
+// replay_chunk event, so the golden event streams pin this length.
+const streamChunk = 2048
 
-	// streamDepth is how many filled chunks may queue per bank before the
-	// partitioner blocks (backpressure). Peak replay memory is therefore
-	// O(banks × streamChunk × (streamDepth+2)) accesses — a few MB at the
-	// paper's 16-bank geometry — instead of the O(total ACTs) the buffered
-	// path needed (~1.36M accesses per bank for a full-scale window).
-	streamDepth = 4
-)
+// genSource adapts a trace.Generator to BlockSource, so generator replays
+// enter the same block router as decoded binary traces. It walks the
+// generator once, checks each access in stream order — the same error
+// text and validate_fail event as runBuffered — and cuts each bank's
+// accesses into column blocks of streamChunk ACTs. At the end of the
+// stream it hands over every bank's partial block, in bank order.
+type genSource struct {
+	gen   trace.Generator
+	cfg   Config
+	banks int
+	rows  int
 
-// bankStream is one bank's bounded conduit from the partitioner to its
-// replay goroutine. Chunks recycle through free once replayed, so
-// steady-state allocation is a handful of buffers per bank regardless of
-// trace length.
-type bankStream struct {
-	data chan []trace.Access
-	free chan []trace.Access
-	made int            // buffers allocated so far (≤ streamDepth+2)
-	fill []trace.Access // chunk currently being filled by the partitioner
+	fill  []trace.ColBlock // per bank: the block being filled
+	ended bool             // gen is drained
+	tail  int              // next bank whose partial block is due after the end
 }
 
-// buffer returns an empty chunk, recycling a replayed one when available
-// and allocating only up to the bounded buffer budget.
-func (st *bankStream) buffer() []trace.Access {
-	select {
-	case b := <-st.free:
-		return b
-	default:
+func newGenSource(cfg Config, gen trace.Generator) *genSource {
+	banks := cfg.Geometry.Banks()
+	return &genSource{
+		gen: gen, cfg: cfg, banks: banks, rows: cfg.Geometry.RowsPerBank,
+		fill: make([]trace.ColBlock, banks),
 	}
-	if st.made < streamDepth+2 {
-		st.made++
-		return make([]trace.Access, 0, streamChunk)
-	}
-	return <-st.free
 }
 
-// replayStreaming partitions gen into bounded per-bank chunk channels while
-// the bank goroutines replay concurrently. Per-bank access order — the only
-// order the timing model observes — is preserved exactly, so results are
-// byte-identical to the buffered path.
-func replayStreaming(cfg Config, gen trace.Generator, states []*bankState) ([]bankOut, error) {
-	nbanks := len(states)
-	outs := make([]bankOut, nbanks)
-	streams := make([]*bankStream, nbanks)
-	var wg sync.WaitGroup
-	for bi := range states {
-		st := &bankStream{
-			data: make(chan []trace.Access, streamDepth),
-			free: make(chan []trace.Access, streamDepth+2),
-		}
-		streams[bi] = st
-		wg.Add(1)
-		go func(bi int, st *bankStream) {
-			defer wg.Done()
-			s, out := states[bi], &outs[bi]
-			for chunk := range st.data {
-				if out.err == nil {
-					out.err = replayChunk(cfg, s, bi, out, chunk)
-				}
-				// Recycle even after an error: the partitioner may be
-				// blocked waiting for a free buffer.
-				st.free <- chunk[:0]
-			}
-		}(bi, st)
-	}
+// Name implements BlockSource.
+func (g *genSource) Name() string { return g.gen.Name() }
 
-	var perr error
-	for {
-		a, ok := gen.Next()
+// NextCols implements BlockSource. buf becomes the next fill of the bank
+// whose block it returns, so the adapter holds one buffer per bank on top
+// of the router's pool.
+func (g *genSource) NextCols(buf trace.ColBlock) (trace.ColBlock, error) {
+	for !g.ended {
+		a, ok := g.gen.Next()
 		if !ok {
+			g.ended = true
 			break
 		}
-		if perr = validateAccess(cfg, nbanks, a); perr != nil {
-			break
+		// Range-check inline: validateAccess copies Config, so it only
+		// builds the error.
+		if a.Bank < 0 || a.Bank >= g.banks || a.Row < 0 || a.Row >= g.rows {
+			return trace.ColBlock{}, validateAccess(g.cfg, g.banks, a)
 		}
-		st := streams[a.Bank]
-		if st.fill == nil {
-			st.fill = st.buffer()
+		f := &g.fill[a.Bank]
+		if cap(f.Rows) == 0 {
+			f.Rows = make([]int32, 0, streamChunk)
+			f.Gaps = make([]dram.Time, 0, streamChunk)
 		}
-		st.fill = append(st.fill, a)
-		if len(st.fill) == streamChunk {
-			if perr = cfg.Fault.Hit(faultinject.SitePartition); perr != nil {
-				break
+		f.Rows = append(f.Rows, int32(a.Row))
+		f.Gaps = append(f.Gaps, a.Gap)
+		if len(f.Dwells) != 0 {
+			f.Dwells = append(f.Dwells, a.Dwell)
+		} else if a.Dwell != 0 {
+			// The block's first non-zero dwell starts its dwell column,
+			// zero-filled back to the block's head. A block without one
+			// keeps an empty column and replays on the fixed-tRC path.
+			if cap(f.Dwells) == 0 {
+				f.Dwells = make([]dram.Time, 0, streamChunk)
 			}
-			st.data <- st.fill
-			st.fill = nil
+			f.Dwells = append(append(f.Dwells, make([]dram.Time, len(f.Rows)-1)...), a.Dwell)
+		}
+		if len(f.Rows) == streamChunk {
+			return g.cut(a.Bank, buf), nil
 		}
 	}
-	for _, st := range streams {
-		if perr == nil && len(st.fill) > 0 {
-			st.data <- st.fill
+	for g.tail < g.banks {
+		b := g.tail
+		g.tail++
+		if len(g.fill[b].Rows) > 0 {
+			return g.cut(b, buf), nil
 		}
-		close(st.data)
 	}
-	wg.Wait()
-	if perr != nil {
-		// Match the buffered path's contract: an out-of-range access fails
-		// the run with the partitioner's error, regardless of how far the
-		// banks replayed.
-		return nil, perr
-	}
-	return outs, nil
+	return trace.ColBlock{}, io.EOF
 }
 
-// replayChunk replays one drained chunk on its bank. A panic anywhere in
-// the replay (a buggy scheme, or an injected fault) is recovered into the
-// bank's error instead of crashing the process: the goroutine keeps
-// draining and recycling chunks, so the partitioner never deadlocks
-// behind a dead consumer.
-//
-// The chunk normally transposes into the bank's recycled columns and
-// replays through the batched core (batch.go) — event-horizon runs, one
-// mitigator batch call and one bank accounting call per run. Banks marked
-// useScalar (CRA's per-ACT stall coupling, oversized geometries) keep the
-// per-ACT reference loop.
-func replayChunk(cfg Config, s *bankState, bi int, out *bankOut, chunk []trace.Access) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("memctrl: bank %d: replay panic: %v", bi, r)
-		}
-	}()
-	if err := cfg.Fault.Hit(faultinject.SiteReplay); err != nil {
-		return fmt.Errorf("memctrl: bank %d: %w", bi, err)
-	}
-	if s.useScalar {
-		for _, a := range chunk {
-			if err := s.replayOne(a, bi, out); err != nil {
-				return err
-			}
-		}
-	} else {
-		rows, gaps := s.colRows[:0], s.colGaps[:0]
-		hasDwell := false
-		for _, a := range chunk {
-			rows = append(rows, int32(a.Row))
-			gaps = append(gaps, a.Gap)
-			hasDwell = hasDwell || a.Dwell != 0
-		}
-		s.colRows, s.colGaps = rows, gaps
-		// The dwell column transposes only for chunks that carry one, so
-		// the dwell-less hot path keeps its two-column writes.
-		var dwells []dram.Time
-		if hasDwell {
-			dwells = s.colDwells[:0]
-			for _, a := range chunk {
-				dwells = append(dwells, a.Dwell)
-			}
-			s.colDwells = dwells
-		}
-		if err := s.replayRun(rows, gaps, dwells, bi, out); err != nil {
-			return err
-		}
-	}
-	if cfg.Obs != nil {
-		// One progress event per drained chunk: coarse enough to stay off
-		// the per-ACT path, fine enough that a stuck sweep is visible
-		// mid-run.
-		scheme := "none"
-		if s.mit != nil {
-			scheme = s.mit.Name()
-		}
-		cfg.Obs.Emit(obs.Event{
-			Kind: obs.KindReplayChunk, Scheme: scheme,
-			Bank: bi, Time: int64(s.now), Value: out.acts,
-		})
-	}
-	return nil
+// cut returns bank's filled block and makes buf, emptied, its next fill.
+func (g *genSource) cut(bank int, buf trace.ColBlock) trace.ColBlock {
+	blk := g.fill[bank]
+	blk.Bank = bank
+	g.fill[bank] = trace.ColBlock{Rows: buf.Rows[:0], Gaps: buf.Gaps[:0], Dwells: buf.Dwells[:0]}
+	return blk
 }

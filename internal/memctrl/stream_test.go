@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"graphene/internal/cra"
 	"graphene/internal/dram"
 	"graphene/internal/graphene"
 	"graphene/internal/mitigation"
@@ -30,10 +31,11 @@ func grapheneFactory(trh int64, rows int, timing dram.Timing) mitigation.Factory
 	return graphene.Factory(graphene.Config{TRH: trh, K: 2, Rows: rows, Timing: timing})
 }
 
-// diffCases covers the shapes the streaming rework could plausibly break:
-// the adversarial suite on one bank, multi-bank mixed workloads, remapped
-// geometry, a stateful-seed scheme, chunk-boundary trace lengths, and DDR5
-// Refresh Management (ddr5Cases).
+// diffCases covers the shapes the block router and the batch core could
+// plausibly break: the adversarial suite on one bank, multi-bank mixed
+// workloads, remapped geometry, a stateful-seed scheme, chunk-boundary
+// trace lengths, DDR5 Refresh Management (ddr5Cases), and CRA's
+// counter-traffic stall (craCases).
 func diffCases(t *testing.T) []diffCase {
 	t.Helper()
 	timing := smallTiming()
@@ -159,7 +161,8 @@ func diffCases(t *testing.T) []diffCase {
 			},
 		})
 	}
-	return append(cases, ddr5Cases()...)
+	cases = append(cases, ddr5Cases()...)
+	return append(cases, craCases()...)
 }
 
 // ddr5Timing is smallTiming with DDR5 Refresh Management enabled.
@@ -237,6 +240,79 @@ func ddr5Stream(n, rows int, dwell dram.Time) trace.Generator {
 			a.Row, a.Dwell = 1000+2*(k&1), dwell
 		} else {
 			a.Row = (k * 7919) % rows
+		}
+		switch {
+		case i%97 == 0:
+			a.Gap = 9 * dram.Microsecond
+		case i%7 == 0:
+			a.Gap = 400 * dram.Nanosecond
+		}
+		i++
+		return a, true
+	})
+}
+
+// craCases pins CRA's extra-traffic stall on the batch core: CRA stops
+// its batch after each counter-cache miss, and replayRun charges the
+// miss's traffic after apply, as replayOne does. A cache-resident and a
+// streaming row pattern replay on DDR4 timing and on DDR5 (RAAIMT 32),
+// the DDR5 leg with and without an 8×nRAS dwell, with the oracle on.
+func craCases() []diffCase {
+	const rows = 1 << 12
+	const trh = 2000
+	geo := dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 2, RowsPerBank: rows}
+	legs := []struct {
+		name   string
+		timing dram.Timing
+		dwell  dram.Time
+	}{
+		{"ddr4", smallTiming(), 0},
+		{"ddr5/plain", ddr5Timing(32), 0},
+		{"ddr5/dwell", ddr5Timing(32), 8 * ddr5Timing(32).NRAS()},
+	}
+	var cases []diffCase
+	for _, leg := range legs {
+		for _, streaming := range []bool{false, true} {
+			pattern := "resident"
+			if streaming {
+				pattern = "streaming"
+			}
+			cases = append(cases, diffCase{
+				name: fmt.Sprintf("cra/%s/%s", leg.name, pattern),
+				mkCfg: func() Config {
+					return Config{
+						Geometry: geo, Timing: leg.timing, TRH: trh,
+						Factory: cra.Factory(cra.Config{TRH: trh, Rows: rows}),
+					}
+				},
+				mkGen: func() trace.Generator { return craStream(24_000, rows, leg.dwell, streaming) },
+			})
+		}
+	}
+	return cases
+}
+
+// craStream interleaves n ACTs over two banks. The resident pattern
+// cycles eight rows per bank, which stay in CRA's counter cache after
+// their first miss and reach its threshold (TRH/4) every 4000 ACTs; the
+// streaming pattern strides across the whole bank, so nearly every ACT
+// misses and stalls the bank. Two of every three ACTs per bank hold their
+// row open for dwell, and gaps cross the refresh clock as in ddr5Stream.
+func craStream(n, rows int, dwell dram.Time, streaming bool) trace.Generator {
+	var i int
+	return trace.FromFunc("cra", func() (trace.Access, bool) {
+		if i >= n {
+			return trace.Access{}, false
+		}
+		a := trace.Access{Bank: i & 1}
+		k := i >> 1
+		if streaming {
+			a.Row = (k * 7919) % rows
+		} else {
+			a.Row = 1000 + 2*(k%8)
+		}
+		if k%3 != 2 {
+			a.Dwell = dwell
 		}
 		switch {
 		case i%97 == 0:

@@ -84,8 +84,12 @@ type Mitigator interface {
 	// ACT appended. Consuming past an appending ACT is a contract
 	// violation: applying the refreshes changes the caller's bank
 	// timeline, so every now[i] beyond the stop index is stale. A scheme
-	// with no fused path delegates to ScalarBatch, which implements the
-	// contract over AppendOnActivate.
+	// that reports extra DRAM traffic (an ExtraDRAMAccesses method, like
+	// CRA's counter-cache misses) also stops immediately after the first
+	// ACT that caused any: the controller charges that traffic to the bank
+	// before the next ACT. A scheme with no fused path and no extra
+	// traffic delegates to ScalarBatch, which implements the contract over
+	// AppendOnActivate.
 	AppendOnActivateBatch(dst []VictimRefresh, rows []int32, now, dwell []dram.Time) ([]VictimRefresh, int)
 
 	// AppendTick is called once per tREFI, when the controller schedules

@@ -402,14 +402,6 @@ func SkipBinaryPrefix(r *bufio.Reader, n int) error {
 
 // ---------------------------------------------------------------- reader
 
-// Block is one bank's slice of a segment: up to segmentAccs consecutive
-// accesses of that bank, in stream order. Accs aliases the buffer passed
-// to BlockReader.Next.
-type Block struct {
-	Bank int
-	Accs []Access
-}
-
 // segBlock records one decoded block of the current segment, for
 // validating the segment's run list against its blocks.
 type segBlock struct {
@@ -504,7 +496,7 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 
 // noEOF upgrades a bare io.EOF to io.ErrUnexpectedEOF: every mid-stream
 // EOF in the binary codec means a torn tail, and io.EOF must stay
-// reserved for BlockReader.Next's clean end-of-trace.
+// reserved for BlockReader.NextCols's clean end-of-trace.
 func noEOF(err error) error {
 	if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return io.ErrUnexpectedEOF
@@ -540,33 +532,6 @@ func (br *BlockReader) uvarint(what string) (uint64, error) {
 	}
 	br.off += n
 	return v, nil
-}
-
-// Next decodes the next block, appending its accesses to buf[:0] (pass
-// nil to allocate). It returns io.EOF after the end marker of a complete,
-// length-consistent stream; a torn tail or any malformed field is a
-// non-EOF error.
-func (br *BlockReader) Next(buf []Access) (Block, error) {
-	if br.done {
-		return Block{}, io.EOF
-	}
-	for br.blocksLeft == 0 {
-		if br.segOpen {
-			// Finish the open segment: its run list must replay exactly
-			// the blocks it came with.
-			if _, err := br.runList(nil, false); err != nil {
-				return Block{}, err
-			}
-			continue
-		}
-		if err := br.nextSegment(); err != nil {
-			if err == io.EOF {
-				br.done = true
-			}
-			return Block{}, err
-		}
-	}
-	return br.decodeBlock(buf)
 }
 
 // nextSegment reads the next segment payload, returning io.EOF on a clean
@@ -620,8 +585,6 @@ func (br *BlockReader) nextSegment() error {
 
 // blockHead parses and validates the bank/count header of the next block
 // in the open segment, growing the per-bank delta state to cover the bank.
-// Shared by the struct (decodeBlock) and columnar (decodeBlockCols)
-// decoders so the hostile-field checks exist once.
 func (br *BlockReader) blockHead() (bank, count int, err error) {
 	bank64, err := br.uvarint("bank")
 	if err != nil {
@@ -663,120 +626,6 @@ func (br *BlockReader) blockDone(bank, count int) {
 	br.decoded += int64(count)
 }
 
-// decodeBlock decodes one block from the open segment into buf[:0].
-func (br *BlockReader) decodeBlock(buf []Access) (Block, error) {
-	bank, count, err := br.blockHead()
-	if err != nil {
-		return Block{}, err
-	}
-	accs := buf[:0]
-	if cap(accs) < int(count) {
-		accs = make([]Access, count)
-	} else {
-		accs = accs[:count]
-	}
-	// The two column loops below are the decoder's per-access hot path —
-	// the throughput `make bench-trace` gates — so the varints decode
-	// inline with a single-byte fast path (most deltas are small) instead
-	// of through the method helpers, and the cursor lives in a local.
-	p, off := br.payload, br.off
-	prev := br.prevRow[bank]
-	for i := range accs {
-		if off >= len(p) {
-			return Block{}, binErrf("segment: truncated row delta")
-		}
-		c := p[off]
-		off++
-		u := uint64(c)
-		if c >= 0x80 {
-			u &= 0x7f
-			for shift := uint(7); ; shift += 7 {
-				if off >= len(p) || shift > 63 {
-					return Block{}, binErrf("segment: truncated row delta")
-				}
-				c = p[off]
-				off++
-				u |= uint64(c&0x7f) << shift
-				if c < 0x80 {
-					break
-				}
-			}
-		}
-		row := prev + (int64(u>>1) ^ -int64(u&1)) // zigzag decode
-		if row < 0 || row > MaxRow {
-			return Block{}, binErrf("segment: %w", checkLimits(int64(bank), row, 0))
-		}
-		prev = row
-		accs[i] = Access{Bank: bank, Row: int(row)}
-	}
-	br.prevRow[bank] = prev
-	prev = br.prevGap[bank]
-	for i := range accs {
-		if off >= len(p) {
-			return Block{}, binErrf("segment: truncated gap delta")
-		}
-		c := p[off]
-		off++
-		u := uint64(c)
-		if c >= 0x80 {
-			u &= 0x7f
-			for shift := uint(7); ; shift += 7 {
-				if off >= len(p) || shift > 63 {
-					return Block{}, binErrf("segment: truncated gap delta")
-				}
-				c = p[off]
-				off++
-				u |= uint64(c&0x7f) << shift
-				if c < 0x80 {
-					break
-				}
-			}
-		}
-		gap := prev + (int64(u>>1) ^ -int64(u&1))
-		if gap < 0 {
-			return Block{}, binErrf("segment: %w", checkLimits(int64(bank), 0, gap))
-		}
-		prev = gap
-		accs[i].Gap = dram.Time(gap)
-	}
-	br.prevGap[bank] = prev
-	if br.segHasDwell {
-		prev = br.prevDwell[bank]
-		for i := range accs {
-			if off >= len(p) {
-				return Block{}, binErrf("segment: truncated dwell delta")
-			}
-			c := p[off]
-			off++
-			u := uint64(c)
-			if c >= 0x80 {
-				u &= 0x7f
-				for shift := uint(7); ; shift += 7 {
-					if off >= len(p) || shift > 63 {
-						return Block{}, binErrf("segment: truncated dwell delta")
-					}
-					c = p[off]
-					off++
-					u |= uint64(c&0x7f) << shift
-					if c < 0x80 {
-						break
-					}
-				}
-			}
-			dwell := prev + (int64(u>>1) ^ -int64(u&1))
-			if dwell < 0 {
-				return Block{}, binErrf("segment: %w", checkDwell(dwell))
-			}
-			prev = dwell
-			accs[i].Dwell = dram.Time(dwell)
-		}
-		br.prevDwell[bank] = prev
-	}
-	br.off = off
-	br.blockDone(bank, count)
-	return Block{Bank: bank, Accs: accs}, nil
-}
-
 // ColBlock is one bank's slice of a segment in columnar layout: Rows[i] at
 // Gaps[i] is the bank's i-th access of the block, in stream order. Rows fit
 // int32 because the shared limits cap row addresses at MaxRow = 2³¹−1 —
@@ -797,17 +646,18 @@ type ColBlock struct {
 	Dwells []dram.Time
 }
 
-// NextCols decodes the next block columnarly, appending into buf's columns
-// (pass the zero ColBlock to allocate). Block order, validation, and the
-// io.EOF end-of-trace contract match Next exactly; only the output layout
-// differs. Next and NextCols may be interleaved freely — delta state
-// advances identically through either.
+// NextCols decodes the next block into buf's columns (pass the zero
+// ColBlock to allocate). It returns io.EOF after the end marker of a
+// complete, length-consistent stream; a torn tail or any malformed field
+// is a non-EOF error.
 func (br *BlockReader) NextCols(buf ColBlock) (ColBlock, error) {
 	if br.done {
 		return ColBlock{}, io.EOF
 	}
 	for br.blocksLeft == 0 {
 		if br.segOpen {
+			// Finish the open segment: its run list must replay exactly
+			// the blocks it came with.
 			if _, err := br.runList(nil, false); err != nil {
 				return ColBlock{}, err
 			}
@@ -824,9 +674,7 @@ func (br *BlockReader) NextCols(buf ColBlock) (ColBlock, error) {
 }
 
 // decodeBlockCols decodes one block from the open segment into buf's
-// columns. The column loops mirror decodeBlock's inline-varint hot path;
-// they diverge only in writing split int32/Time columns instead of Access
-// structs.
+// columns.
 func (br *BlockReader) decodeBlockCols(buf ColBlock) (ColBlock, error) {
 	bank, count, err := br.blockHead()
 	if err != nil {
@@ -844,6 +692,10 @@ func (br *BlockReader) decodeBlockCols(buf ColBlock) (ColBlock, error) {
 	} else {
 		gaps = gaps[:count]
 	}
+	// The column loops below are the decoder's per-access hot path — the
+	// throughput `make bench-trace` gates — so the varints decode inline
+	// with a single-byte fast path (most deltas are small) instead of
+	// through the method helpers, and the cursor lives in a local.
 	p, off := br.payload, br.off
 	prev := br.prevRow[bank]
 	for i := range rows {
@@ -972,7 +824,7 @@ func (br *BlockReader) runList(dst []run, collect bool) ([]run, error) {
 	named := 0
 	p, off := br.payload, br.off
 	for i := uint64(0); i < nruns; i++ {
-		var vals [2]uint64 // bank, length — same inline varint as decodeBlock
+		var vals [2]uint64 // bank, length — same inline varint as decodeBlockCols
 		for f := 0; f < 2; f++ {
 			if off >= len(p) {
 				return nil, binErrf("segment: truncated run list")
@@ -1059,24 +911,24 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		prealloc = 1 << 20 // cap what a hostile header can make us allocate up front
 	}
 	out := make([]Access, 0, prealloc)
-	// Per-bank pending accesses of the open segment, with a read cursor per
+	// Per-bank pending columns of the open segment, with a read cursor per
 	// bank, and a pool recycling the block buffers across segments so the
 	// steady state allocates nothing per block.
-	cols := make([][]Access, br.banks)
+	cols := make([]ColBlock, br.banks)
 	cur := make([]int64, br.banks)
-	var pool [][]Access
+	var pool []ColBlock
 	var runs []run
 	for {
 		if br.blocksLeft > 0 {
-			var buf []Access
+			var buf ColBlock
 			if n := len(pool); n > 0 {
 				buf, pool = pool[n-1], pool[:n-1]
 			}
-			blk, err := br.decodeBlock(buf)
+			blk, err := br.decodeBlockCols(buf)
 			if err != nil {
 				return nil, err
 			}
-			cols[blk.Bank] = blk.Accs
+			cols[blk.Bank] = blk
 			continue
 		}
 		if br.segOpen {
@@ -1091,7 +943,8 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 			}
 			// Grow once for the whole segment, then place each run with an
 			// element loop: typical runs are a handful of accesses, where
-			// the per-append grow checks and memmove calls dominate.
+			// the per-append grow checks dominate. A dwell-free column,
+			// the common case, copies without a per-access dwell branch.
 			base := len(out)
 			for int64(cap(out)-base) < segAccs {
 				out = append(out[:cap(out)], Access{})
@@ -1100,10 +953,20 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 			for _, ru := range runs {
 				col := cols[ru.bank]
 				c := cur[ru.bank]
-				for i := int64(0); i < ru.n; i++ {
-					out[base] = col[c+i]
-					base++
+				rows := col.Rows[c : c+ru.n]
+				gaps := col.Gaps[c : c+ru.n][:len(rows)]
+				dst := out[base:][:len(rows)]
+				if len(col.Dwells) == 0 {
+					for i, r := range rows {
+						dst[i] = Access{Bank: ru.bank, Row: int(r), Gap: gaps[i]}
+					}
+				} else {
+					dwells := col.Dwells[c : c+ru.n][:len(rows)]
+					for i, r := range rows {
+						dst[i] = Access{Bank: ru.bank, Row: int(r), Gap: gaps[i], Dwell: dwells[i]}
+					}
 				}
+				base += len(rows)
 				cur[ru.bank] = c + ru.n
 			}
 			for _, sb := range br.segBlocks {
@@ -1111,7 +974,7 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 					return nil, binErrf("segment: runs replay %d accesses of bank %d, block carries %d", cur[sb.bank], sb.bank, sb.count)
 				}
 				pool = append(pool, cols[sb.bank])
-				cols[sb.bank] = nil
+				cols[sb.bank] = ColBlock{}
 				cur[sb.bank] = 0
 			}
 			continue

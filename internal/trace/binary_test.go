@@ -48,6 +48,18 @@ func encodeBinary(t testing.TB, name string, accs []Access) []byte {
 	return buf.Bytes()
 }
 
+// appendBlock appends blk's accesses to dst as Access structs.
+func appendBlock(dst []Access, blk ColBlock) []Access {
+	for i, r := range blk.Rows {
+		a := Access{Bank: blk.Bank, Row: int(r), Gap: blk.Gaps[i]}
+		if len(blk.Dwells) != 0 {
+			a.Dwell = blk.Dwells[i]
+		}
+		dst = append(dst, a)
+	}
+	return dst
+}
+
 func TestBinaryRoundTripExactOrder(t *testing.T) {
 	cases := map[string][]Access{
 		"empty":       nil,
@@ -95,43 +107,29 @@ func TestBinaryPreservesHostileName(t *testing.T) {
 	}
 }
 
-func TestBlockReaderHeaderAndBlocks(t *testing.T) {
-	accs := mixedTrace(10_000, 4, 9)
-	data := encodeBinary(t, "blocks", accs)
-	br, err := NewBlockReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+// dwelledTrace spans two segments: the first carries the dwell column
+// (every third access holds its row open), the second is dwell-free, so
+// its blocks must come back with empty Dwells.
+func dwelledTrace() []Access {
+	accs := mixedTrace(segmentAccs+5000, 3, 7)
+	for i := 0; i < segmentAccs; i += 3 {
+		accs[i].Dwell = dram.Time(1 + i%50_000)
 	}
-	if br.Name() != "blocks" || br.Banks() != 4 || br.Total() != int64(len(accs)) {
-		t.Fatalf("header = (%q, %d, %d), want (blocks, 4, %d)", br.Name(), br.Banks(), br.Total(), len(accs))
-	}
-	// Blocks must reproduce exactly the per-bank partition, in per-bank
-	// order — the only order replay observes.
-	want := map[int][]Access{}
+	return accs
+}
+
+// byBank splits accs into each bank's accesses, in order.
+func byBank(accs []Access) map[int][]Access {
+	m := map[int][]Access{}
 	for _, a := range accs {
-		want[a.Bank] = append(want[a.Bank], a)
+		m[a.Bank] = append(m[a.Bank], a)
 	}
-	got := map[int][]Access{}
-	var buf []Access
-	for {
-		blk, err := br.Next(buf[:0])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if len(blk.Accs) == 0 {
-			t.Fatal("empty block")
-		}
-		for _, a := range blk.Accs {
-			if a.Bank != blk.Bank {
-				t.Fatalf("block for bank %d carries access %+v", blk.Bank, a)
-			}
-			got[blk.Bank] = append(got[blk.Bank], a)
-		}
-		buf = blk.Accs // recycled: Next appends into buf[:0]
-	}
+	return m
+}
+
+// sameByBank fails t at the first bank or access where got and want differ.
+func sameByBank(t *testing.T, got, want map[int][]Access) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("blocks cover %d banks, want %d", len(got), len(want))
 	}
@@ -146,9 +144,126 @@ func TestBlockReaderHeaderAndBlocks(t *testing.T) {
 			}
 		}
 	}
-	// After EOF the reader stays at EOF.
-	if _, err := br.Next(nil); err != io.EOF {
-		t.Fatalf("post-EOF Next: %v", err)
+}
+
+// TestBlockReaderHeaderAndBlocks: the header is read eagerly, and NextCols
+// reproduces exactly the per-bank partition of the generated stream, in
+// per-bank order — the only order replay observes — including across
+// segment boundaries, where per-bank delta state carries over, and through
+// segments with and without the dwell column.
+func TestBlockReaderHeaderAndBlocks(t *testing.T) {
+	cases := []struct {
+		name string
+		accs []Access
+	}{
+		{"single-bank", mixedTrace(5000, 1, 1)},
+		{"multi-bank", mixedTrace(20_000, 7, 2)},
+		{"multi-segment", mixedTrace(segmentAccs*2+123, 5, 4)},
+		{"dwell", dwelledTrace()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			br, err := NewBlockReader(bytes.NewReader(encodeBinary(t, tc.name, tc.accs)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			banks := 0
+			for _, a := range tc.accs {
+				banks = max(banks, a.Bank+1)
+			}
+			if br.Name() != tc.name || br.Banks() != banks || br.Total() != int64(len(tc.accs)) {
+				t.Fatalf("header = (%q, %d, %d), want (%s, %d, %d)", br.Name(), br.Banks(), br.Total(), tc.name, banks, len(tc.accs))
+			}
+			got := map[int][]Access{}
+			var buf ColBlock
+			for {
+				blk, err := br.NextCols(buf)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("NextCols: %v", err)
+				}
+				n := len(blk.Rows)
+				if n == 0 || len(blk.Gaps) != n || (len(blk.Dwells) != 0 && len(blk.Dwells) != n) {
+					t.Fatalf("bank %d block: %d rows, %d gaps, %d dwells", blk.Bank, n, len(blk.Gaps), len(blk.Dwells))
+				}
+				got[blk.Bank] = appendBlock(got[blk.Bank], blk)
+				buf = blk // recycled: NextCols reuses buf's columns
+			}
+			sameByBank(t, got, byBank(tc.accs))
+			// After EOF the reader stays at EOF.
+			if _, err := br.NextCols(ColBlock{}); err != io.EOF {
+				t.Fatalf("post-EOF NextCols: %v", err)
+			}
+		})
+	}
+}
+
+// TestNextColsMatchesNext pins the block decoder against the whole-trace
+// decoder, the one that replaced the struct decoder Next: the blocks
+// NextCols returns, concatenated per bank, are exactly ReadBinary's
+// accesses of that bank, in order, whatever buffer each call is handed —
+// the previous block, as the replay router recycles it, a zero ColBlock,
+// or a stale one large enough for any block whose columns, dwells
+// included, still hold other values. The two share decodeBlockCols but
+// not the segment walk: NextCols checks each run list and drops it,
+// ReadBinary applies it to rebuild global order. The name is historical:
+// Next is gone, and ReadBinary is the reference NextCols now answers to.
+func TestNextColsMatchesNext(t *testing.T) {
+	cases := []struct {
+		name string
+		accs []Access
+	}{
+		{"single-bank", mixedTrace(5000, 1, 1)},
+		{"multi-bank", mixedTrace(20_000, 7, 2)},
+		{"multi-segment", mixedTrace(segmentAccs*2+123, 5, 4)},
+		{"dwell", dwelledTrace()},
+	}
+	stale := ColBlock{
+		Rows:   make([]int32, segmentAccs),
+		Gaps:   make([]dram.Time, segmentAccs),
+		Dwells: make([]dram.Time, segmentAccs),
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data := encodeBinary(t, tc.name, tc.accs)
+			tr, err := ReadBinary(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("ReadBinary: %v", err)
+			}
+			want := byBank(tr.Accs)
+			for _, mode := range []string{"recycled", "zero", "stale"} {
+				br, err := NewBlockReader(bytes.NewReader(data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := map[int][]Access{}
+				var prev ColBlock
+				for {
+					var buf ColBlock
+					switch mode {
+					case "recycled":
+						buf = prev
+					case "stale":
+						for i := range stale.Rows {
+							stale.Rows[i], stale.Gaps[i], stale.Dwells[i] = -1, -1, -1
+						}
+						buf = stale
+					}
+					blk, err := br.NextCols(buf)
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatalf("%s: NextCols: %v", mode, err)
+					}
+					got[blk.Bank] = appendBlock(got[blk.Bank], blk)
+					prev = blk
+				}
+				sameByBank(t, got, want)
+			}
+		})
 	}
 }
 
@@ -171,6 +286,29 @@ func TestBinaryRejectsTornTail(t *testing.T) {
 	// The full stream still parses (the loop above must not be vacuous).
 	if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
 		t.Fatalf("full stream: %v", err)
+	}
+}
+
+// TestNextColsRejectsTornTail: the block decoder applies the same torn-tail
+// discipline as ReadBinary — a truncated stream is a non-EOF error, never
+// a silently short trace.
+func TestNextColsRejectsTornTail(t *testing.T) {
+	data := encodeBinary(t, "torn", mixedTrace(50_000, 3, 5))
+	for _, cut := range []int{len(data) - 1, len(data) * 2 / 3, len(data) / 3} {
+		br, err := NewBlockReader(bytes.NewReader(data[:cut]))
+		if err != nil {
+			t.Fatalf("cut %d: header: %v", cut, err)
+		}
+		var buf ColBlock
+		for {
+			buf, err = br.NextCols(buf)
+			if err != nil {
+				break
+			}
+		}
+		if err == io.EOF {
+			t.Errorf("cut %d: torn tail decoded to clean EOF", cut)
+		}
 	}
 }
 

@@ -82,7 +82,7 @@ func TestFaultInjectBlockReaderPropagates(t *testing.T) {
 		return
 	}
 	for {
-		_, err := br.Next(nil)
+		_, err := br.NextCols(trace.ColBlock{})
 		if err == nil {
 			continue
 		}
@@ -90,7 +90,7 @@ func TestFaultInjectBlockReaderPropagates(t *testing.T) {
 			t.Fatal("block reader reached clean EOF through an injected fault")
 		}
 		if !errors.Is(err, faultinject.ErrInjected) {
-			t.Fatalf("Next err = %v, want injected fault", err)
+			t.Fatalf("NextCols err = %v, want injected fault", err)
 		}
 		if !strings.HasPrefix(err.Error(), "trace: ") {
 			t.Fatalf("fault not wrapped as a trace error: %v", err)
@@ -104,15 +104,16 @@ func TestFaultInjectBlockReaderPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total int64
+	var blk trace.ColBlock
 	for {
-		blk, err := br.Next(nil)
+		blk, err = br.NextCols(blk)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += int64(len(blk.Accs))
+		total += int64(len(blk.Rows))
 	}
 	if total != int64(len(accs)) {
 		t.Fatalf("decoded %d accesses, want %d", total, len(accs))

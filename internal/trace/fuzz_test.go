@@ -87,15 +87,17 @@ func FuzzReadFrom(f *testing.F) {
 			t.Fatalf("NewBlockReader: %v", err)
 		}
 		got2 := map[int][]Access{}
+		var buf ColBlock
 		for {
-			blk, err := br.Next(nil)
+			blk, err := br.NextCols(buf)
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
-				t.Fatalf("BlockReader.Next: %v", err)
+				t.Fatalf("BlockReader.NextCols: %v", err)
 			}
-			got2[blk.Bank] = append(got2[blk.Bank], blk.Accs...)
+			got2[blk.Bank] = appendBlock(got2[blk.Bank], blk)
+			buf = blk
 		}
 		if len(got2) != len(want) {
 			t.Fatalf("block partition covers %d banks, want %d", len(got2), len(want))

@@ -147,11 +147,11 @@ func run(o options, logw io.Writer, ready chan<- string, stop <-chan os.Signal) 
 
 	// Drain-then-report: the session journal is already on disk (each
 	// Record is an atomic append), the metrics snapshot flushes via
-	// closeObs, and the summary line quotes the final counters.
-	snap := rec.Snapshot()
+	// closeObs, and the summary line quotes the server's final totals,
+	// which it keeps with or without a Recorder.
+	tot := s.Totals()
 	fmt.Fprintf(logw, "rhsimd: served %d session(s), %d error(s), %d ACTs, %d bytes in; %d report(s) journaled\n",
-		snap.Counters["serve_sessions_total"], snap.Counters["serve_session_errors_total"],
-		snap.Counters["serve_acts_total"], snap.Counters["serve_bytes_in_total"], ck.Len())
+		tot.Sessions, tot.Errors, tot.ACTs, tot.BytesIn, ck.Len())
 	if dbg != nil {
 		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer scancel()

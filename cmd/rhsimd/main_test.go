@@ -35,20 +35,11 @@ func (l *logBuffer) String() string {
 	return l.buf.String()
 }
 
-// TestDaemonLifecycle boots the full daemon body, serves one real session
-// over TCP, SIGTERMs it, and checks the drain-then-report artifacts: the
-// journaled session, the metrics snapshot, and the summary line.
-func TestDaemonLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	o := options{
-		addr:        "127.0.0.1:0",
-		maxTenants:  4,
-		maxBanks:    16,
-		idleTimeout: time.Minute,
-		drain:       10 * time.Second,
-		checkpoint:  filepath.Join(dir, "sessions.ckpt"),
-		metrics:     filepath.Join(dir, "metrics.json"),
-	}
+// runOneSession boots the daemon body with o, replays one 500-ACT session
+// for tenant "lifecycle" over TCP, SIGTERMs the daemon, waits for the
+// drain, and returns the daemon's log and the session's report.
+func runOneSession(t *testing.T, o options) (string, serve.Report) {
+	t.Helper()
 	logw := &logBuffer{}
 	ready := make(chan string, 1)
 	stop := make(chan os.Signal, 1)
@@ -90,8 +81,24 @@ func TestDaemonLifecycle(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not drain after SIGTERM")
 	}
+	return logw.String(), rep
+}
 
-	out := logw.String()
+// TestDaemonLifecycle boots the full daemon body, serves one real session
+// over TCP, SIGTERMs it, and checks the drain-then-report artifacts: the
+// journaled session, the metrics snapshot, and the summary line.
+func TestDaemonLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	o := options{
+		addr:        "127.0.0.1:0",
+		maxTenants:  4,
+		maxBanks:    16,
+		idleTimeout: time.Minute,
+		drain:       10 * time.Second,
+		checkpoint:  filepath.Join(dir, "sessions.ckpt"),
+		metrics:     filepath.Join(dir, "metrics.json"),
+	}
+	out, rep := runOneSession(t, o)
 	for _, want := range []string{"listening on", "draining", "served 1 session(s), 0 error(s)", "1 report(s) journaled"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("daemon log misses %q:\n%s", want, out)
@@ -110,6 +117,25 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(string(metrics), "serve_sessions_total") {
 		t.Errorf("metrics snapshot misses serve counters:\n%s", metrics)
+	}
+}
+
+// TestDaemonSummaryWithoutObs runs the daemon with no -metrics, -events or
+// -pprof, so it has no Recorder. The drain summary must still count the
+// session, its ACTs and the bytes it read.
+func TestDaemonSummaryWithoutObs(t *testing.T) {
+	out, _ := runOneSession(t, options{
+		addr:        "127.0.0.1:0",
+		maxTenants:  4,
+		maxBanks:    16,
+		idleTimeout: time.Minute,
+		drain:       10 * time.Second,
+	})
+	if want := "served 1 session(s), 0 error(s), 500 ACTs, "; !strings.Contains(out, want) {
+		t.Errorf("drain summary misses %q:\n%s", want, out)
+	}
+	if strings.Contains(out, " 0 bytes in") {
+		t.Errorf("drain summary counts no bytes in:\n%s", out)
 	}
 }
 

@@ -5,10 +5,13 @@ import (
 	"math"
 )
 
-// Bank models a single DRAM bank: its row array, the rolling auto-refresh
-// pointer, per-row last-refresh times, and occupancy. The memory controller
-// (internal/memctrl) owns command scheduling; Bank only enforces device-side
-// state transitions and bookkeeping.
+// Bank models a single DRAM bank: its row count, the rolling auto-refresh
+// pointer, the DDR5 RAA counter, and occupancy. It keeps no per-row state,
+// so its size does not grow with RowsPerBank: every refresh call returns
+// the rows it covered and its completion time, and whoever models charge
+// (hammer.Oracle) restores it from those. The memory controller
+// (internal/memctrl) owns command scheduling; Bank only enforces
+// device-side state transitions and bookkeeping.
 type Bank struct {
 	timing Timing
 	rows   int
@@ -18,8 +21,7 @@ type Bank struct {
 	rowsPerREF int
 	refPtr     int // next row to be auto-refreshed
 
-	lastRefresh []Time // completion time of each row's most recent refresh
-	busyUntil   Time   // device busy (REF/NRR/ACT occupancy)
+	busyUntil Time // device busy (REF/NRR/ACT occupancy)
 
 	// rowScratch backs the row lists AutoRefresh and NearbyRowRefresh
 	// return, so the steady-state replay loop allocates nothing per
@@ -47,7 +49,7 @@ type BankStats struct {
 	BusyTime        Time  // total time the bank was occupied
 }
 
-// NewBank returns a bank with every row considered refreshed at time 0.
+// NewBank returns an idle bank whose auto-refresh pointer starts at row 0.
 func NewBank(t Timing, rows int) (*Bank, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -62,12 +64,7 @@ func NewBank(t Timing, rows int) (*Bank, error) {
 	if per < 1 {
 		per = 1
 	}
-	return &Bank{
-		timing:      t,
-		rows:        rows,
-		rowsPerREF:  per,
-		lastRefresh: make([]Time, rows),
-	}, nil
+	return &Bank{timing: t, rows: rows, rowsPerREF: per}, nil
 }
 
 // Rows returns the number of rows in the bank.
@@ -81,10 +78,6 @@ func (b *Bank) Stats() BankStats { return b.stats }
 
 // BusyUntil reports the time at which the bank becomes free.
 func (b *Bank) BusyUntil() Time { return b.busyUntil }
-
-// LastRefresh returns the completion time of row's most recent refresh
-// (auto-refresh or NRR).
-func (b *Bank) LastRefresh(row int) Time { return b.lastRefresh[row] }
 
 func (b *Bank) occupy(from, dur Time) (start, end Time) {
 	start = from
@@ -199,7 +192,6 @@ func (b *Bank) AutoRefresh(now Time) (done Time, rows []int) {
 	b.rowScratch = b.rowScratch[:0]
 	for i := 0; i < b.rowsPerREF; i++ {
 		b.rowScratch = append(b.rowScratch, b.refPtr)
-		b.lastRefresh[b.refPtr] = end
 		// refPtr stays in [0, rows), so a wrap compare replaces the modulo —
 		// this runs once per refreshed row on every replay path.
 		if b.refPtr++; b.refPtr == b.rows {
@@ -237,9 +229,6 @@ func (b *Bank) NearbyRowRefresh(aggressor, n int, now Time) (done Time, refreshe
 	b.rowScratch = refreshed
 	dur := Time(len(refreshed))*b.timing.TRC + b.timing.TRP
 	_, end := b.occupy(now, dur)
-	for _, r := range refreshed {
-		b.lastRefresh[r] = end
-	}
 	b.stats.NRRCommands++
 	b.stats.RowsNRR += int64(len(refreshed))
 	return end, refreshed, nil
@@ -268,9 +257,6 @@ func (b *Bank) RefreshRows(rows []int, now Time) (done Time, err error) {
 	}
 	dur := Time(len(rows))*b.timing.TRC + b.timing.TRP
 	_, end := b.occupy(now, dur)
-	for _, r := range rows {
-		b.lastRefresh[r] = end
-	}
 	b.stats.NRRCommands++
 	b.stats.RowsNRR += int64(len(rows))
 	return end, nil

@@ -77,15 +77,31 @@ func TestAutoRefreshCoversWholeBankPerWindow(t *testing.T) {
 }
 
 func TestAutoRefreshUpdatesLastRefresh(t *testing.T) {
+	// Each REF covers the next rowsPerREF rows in address order and
+	// completes tRFC after it issues; a second REF continues where the
+	// first stopped and queues behind it.
 	b := newTestBank(t, 1024)
+	per := int((1024 + b.Timing().RefreshCommandsPerWindow() - 1) / b.Timing().RefreshCommandsPerWindow())
 	done, rows := b.AutoRefresh(100)
-	for _, r := range rows {
-		if got := b.LastRefresh(r); got != done {
-			t.Errorf("LastRefresh(%d) = %v, want %v", r, got, done)
-		}
-	}
 	if done != 100+b.Timing().TRFC {
 		t.Errorf("REF done at %v, want %v", done, 100+b.Timing().TRFC)
+	}
+	if len(rows) != per {
+		t.Fatalf("REF refreshed %d rows, want %d", len(rows), per)
+	}
+	for i, r := range rows {
+		if r != i {
+			t.Errorf("REF row %d = %d, want %d", i, r, i)
+		}
+	}
+	done2, rows := b.AutoRefresh(100)
+	if done2 != done+b.Timing().TRFC {
+		t.Errorf("second REF done at %v, want %v", done2, done+b.Timing().TRFC)
+	}
+	for i, r := range rows {
+		if r != per+i {
+			t.Errorf("second REF row %d = %d, want %d", i, r, per+i)
+		}
 	}
 }
 
@@ -155,16 +171,19 @@ func TestNRROccupancyMatchesPaperAccounting(t *testing.T) {
 }
 
 func TestRefreshRowsExplicitSet(t *testing.T) {
+	// Refreshing an explicit set costs tRC per row plus one tRP and counts
+	// as one victim-refresh command covering exactly those rows.
 	b := newTestBank(t, 64)
 	rows := []int{1, 5, 9}
-	done, err := b.RefreshRows(rows, 0)
+	done, err := b.RefreshRows(rows, 10)
 	if err != nil {
 		t.Fatalf("RefreshRows: %v", err)
 	}
-	for _, r := range rows {
-		if b.LastRefresh(r) != done {
-			t.Errorf("row %d not refreshed", r)
-		}
+	if want := 10 + Time(len(rows))*b.Timing().TRC + b.Timing().TRP; done != want {
+		t.Errorf("RefreshRows done at %v, want %v", done, want)
+	}
+	if st := b.Stats(); st.NRRCommands != 1 || st.RowsNRR != int64(len(rows)) {
+		t.Errorf("stats = %+v, want 1 command / %d rows", st, len(rows))
 	}
 	if _, err := b.RefreshRows([]int{64}, 0); err == nil {
 		t.Error("RefreshRows accepted out-of-range row")

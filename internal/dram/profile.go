@@ -37,6 +37,3 @@ func ProfileByName(name string) (Profile, error) {
 	}
 	return Profile{}, fmt.Errorf("dram: unknown device profile %q (want ddr4 or ddr5)", name)
 }
-
-// ProfileNames lists the selectable device profiles.
-func ProfileNames() []string { return []string{"ddr4", "ddr5"} }

@@ -33,10 +33,14 @@ func (a *addrIndex) clear() {
 	a.n = 0
 }
 
-// hash spreads the (often sequential) row addresses with Knuth's
-// multiplicative constant before masking to the table size.
+// hash multiplies the row by ⌊2⁶⁴/φ⌋ (Fibonacci hashing, Knuth TAOCP
+// vol. 3 §6.4) and masks bits 32 and up of the product to the index size.
+// Those bits depend on every bit of a 31-bit row. The low bits of a 32-bit
+// product would not do: they depend only on the row's low bits, so rows a
+// multiple of the index size apart — a stride the trace's sender chooses —
+// would share one probe chain.
 func (a *addrIndex) hash(k int32) uint32 {
-	return (uint32(k) * 2654435761) & a.mask
+	return uint32(uint64(uint32(k))*0x9E3779B97F4A7C15>>32) & a.mask
 }
 
 func (a *addrIndex) get(k int32) (int, bool) {

@@ -96,6 +96,26 @@ func BenchmarkObserveMissSpill(b *testing.B) {
 	})
 }
 
+// BenchmarkObserveRotationStride rotates 400 rows through a 326-entry
+// table (T 2083), the rows a power-of-two stride apart. A trace's sender
+// picks the stride, and rows a multiple of the Address-CAM index size
+// apart must not share a probe chain, so every stride should cost about
+// the same.
+func BenchmarkObserveRotationStride(b *testing.B) {
+	for _, stride := range []int{1, 128, 2048} {
+		b.Run(fmt.Sprintf("stride%d", stride), func(b *testing.B) {
+			tb, err := NewTable(326, 2083)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tb.Observe(i % 400 * stride)
+			}
+		})
+	}
+}
+
 // BenchmarkTableFullWindowAdversarial replays the paper-scale K=1
 // configuration (Nentry 108, T 12.5K, W ≈ 1.36M ACTs per window) with
 // all-distinct churn, resetting at window boundaries like the bank does —

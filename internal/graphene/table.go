@@ -231,7 +231,7 @@ func (tb *Table) ObserveRun(rows []int32) (consumed int, trigger, alertEdge bool
 		}
 		n++
 		slot := -1
-		for i := (uint32(addr) * 2654435761) & mask; ; i = (i + 1) & mask {
+		for i := uint32(uint64(uint32(addr))*0x9E3779B97F4A7C15>>32) & mask; ; i = (i + 1) & mask {
 			k := keys[i]
 			if k == addr {
 				slot = int(vals[i])

@@ -16,6 +16,7 @@ package hammer
 
 import (
 	"fmt"
+	"math"
 
 	"graphene/internal/dram"
 	"graphene/internal/mitigation"
@@ -34,6 +35,12 @@ func (f Flip) String() string {
 }
 
 // Oracle is the per-bank ground-truth disturbance tracker.
+//
+// Its state follows the rows a replay disturbs, not the bank's row count:
+// accumulators live in chunks of chunkRows consecutive rows, allocated on
+// the first ACT that disturbs a row in them. A row in an absent chunk reads
+// as zero and unlatched, so refreshing untouched rows allocates nothing and
+// touches no memory.
 type Oracle struct {
 	rows     int
 	trh      float64
@@ -41,12 +48,30 @@ type Oracle struct {
 	mu       []float64 // mu[d-1] = μ_d for d in [1, distance]
 	nras     dram.Time // normalizes dwell; 0 until SetNRAS
 
-	disturb []float64
-	flipped []bool      // latched per victim until its next refresh
-	flipAt  []dram.Time // tick the latch was set, for refresh-at-flip-tick disambiguation
-	flips   []Flip
+	chunks []chunk // chunks[i] covers rows [i*chunkRows, (i+1)*chunkRows)
+
+	// flipAt holds the tick each currently latched victim latched at, for
+	// refresh-at-flip-tick disambiguation. Only latched rows have an entry,
+	// so only recording a flip or refreshing a latched row touches it.
+	flipAt map[int]dram.Time
+	flips  []Flip
 
 	acts int64
+}
+
+// chunkRows is the oracle's allocation unit in rows, a power of two so a
+// row splits into chunk and offset with a shift and a mask.
+const (
+	chunkShift = 12
+	chunkRows  = 1 << chunkShift
+)
+
+// chunk is one run of chunkRows consecutive rows (fewer for the bank's
+// last chunk). Both slices are nil until an ACT first disturbs one of its
+// rows.
+type chunk struct {
+	disturb []float64 // accumulator per row since its last refresh
+	latched []uint64  // flip latch bit per row, set until its next refresh
 }
 
 // NewOracle builds an oracle for a bank with the given row count, Row
@@ -73,9 +98,7 @@ func NewOracle(rows int, trh int64, distance int, mu mitigation.MuModel) (*Oracl
 		trh:      float64(trh),
 		distance: distance,
 		mu:       mus,
-		disturb:  make([]float64, rows),
-		flipped:  make([]bool, rows),
-		flipAt:   make([]dram.Time, rows),
+		chunks:   make([]chunk, (rows+chunkRows-1)>>chunkShift),
 	}, nil
 }
 
@@ -129,11 +152,19 @@ func (o *Oracle) AppendActivateOpen(dst []Flip, row int, now, dwell dram.Time) [
 			if v < 0 || v >= o.rows {
 				continue
 			}
-			o.disturb[v] += o.mu[d-1] * weight
-			if o.disturb[v] >= o.trh && !o.flipped[v] {
-				o.flipped[v] = true
+			c := &o.chunks[v>>chunkShift]
+			if c.disturb == nil {
+				o.alloc(v >> chunkShift)
+			}
+			i := v & (chunkRows - 1)
+			c.disturb[i] += o.mu[d-1] * weight
+			if c.disturb[i] >= o.trh && c.latched[i>>6]&(1<<(i&63)) == 0 {
+				c.latched[i>>6] |= 1 << (i & 63)
+				if o.flipAt == nil {
+					o.flipAt = make(map[int]dram.Time)
+				}
 				o.flipAt[v] = now
-				f := Flip{Victim: v, At: now, Disturbance: o.disturb[v]}
+				f := Flip{Victim: v, At: now, Disturbance: c.disturb[i]}
 				o.flips = append(o.flips, f)
 				dst = append(dst, f)
 			}
@@ -142,15 +173,20 @@ func (o *Oracle) AppendActivateOpen(dst []Flip, row int, now, dwell dram.Time) [
 	return dst
 }
 
+// alloc gives chunk ci its arrays, sized to the rows the bank has from the
+// chunk's first row on, so a bank smaller than one chunk pays only for its
+// own rows.
+func (o *Oracle) alloc(ci int) {
+	n := min(chunkRows, o.rows-ci*chunkRows)
+	o.chunks[ci] = chunk{disturb: make([]float64, n), latched: make([]uint64, (n+63)/64)}
+}
+
 // RefreshRow restores row's charge: its disturbance accumulator and flip
 // latch are cleared. Call it for every row covered by an auto-refresh, NRR,
 // or region refresh.
 func (o *Oracle) RefreshRow(row int) {
-	if row < 0 || row >= o.rows {
-		panic(fmt.Sprintf("hammer: refresh row %d out of range [0,%d)", row, o.rows))
-	}
-	o.disturb[row] = 0
-	o.flipped[row] = false
+	// A refresh after every possible flip tick always releases the latch.
+	o.RefreshRowAt(row, math.MaxInt64)
 }
 
 // RefreshRowAt is RefreshRow for a refresh issued at time now. The
@@ -159,28 +195,45 @@ func (o *Oracle) RefreshRow(row int) {
 // happened in that instant's episode, and releasing the latch would let
 // the fractional-increment model re-report the same flip from residual
 // same-tick activity. A refresh strictly after the flip tick clears the
-// latch as usual.
+// latch as usual. A row in an absent chunk is already clear.
 func (o *Oracle) RefreshRowAt(row int, now dram.Time) {
 	if row < 0 || row >= o.rows {
 		panic(fmt.Sprintf("hammer: refresh row %d out of range [0,%d)", row, o.rows))
 	}
-	o.disturb[row] = 0
-	if o.flipped[row] && now <= o.flipAt[row] {
+	c := &o.chunks[row>>chunkShift]
+	if c.disturb == nil {
 		return
 	}
-	o.flipped[row] = false
+	i := row & (chunkRows - 1)
+	c.disturb[i] = 0
+	w, bit := &c.latched[i>>6], uint64(1)<<(i&63)
+	if *w&bit == 0 || now <= o.flipAt[row] {
+		return
+	}
+	*w &^= bit
+	delete(o.flipAt, row)
 }
 
 // Disturbance returns the victim accumulator for row.
-func (o *Oracle) Disturbance(row int) float64 { return o.disturb[row] }
+func (o *Oracle) Disturbance(row int) float64 {
+	if row < 0 || row >= o.rows {
+		panic(fmt.Sprintf("hammer: disturbance of row %d out of range [0,%d)", row, o.rows))
+	}
+	if c := o.chunks[row>>chunkShift]; c.disturb != nil {
+		return c.disturb[row&(chunkRows-1)]
+	}
+	return 0
+}
 
 // MaxDisturbance returns the most-disturbed row and its accumulator value —
 // the safety-margin metric used in tests (must stay below TRH for sound
-// schemes).
+// schemes). Ties go to the lowest row; with nothing disturbed it is (0, 0).
 func (o *Oracle) MaxDisturbance() (row int, d float64) {
-	for i, v := range o.disturb {
-		if v > d {
-			row, d = i, v
+	for ci, c := range o.chunks {
+		for i, v := range c.disturb {
+			if v > d {
+				row, d = ci*chunkRows+i, v
+			}
 		}
 	}
 	return row, d
@@ -192,13 +245,14 @@ func (o *Oracle) Flips() []Flip { return o.flips }
 // FlipCount returns the number of recorded flips.
 func (o *Oracle) FlipCount() int { return len(o.flips) }
 
-// Reset clears all accumulators and the flip log.
+// Reset clears all accumulators and the flip log. Allocated chunks stay,
+// zeroed, for the rows the next pass is likely to disturb again.
 func (o *Oracle) Reset() {
-	for i := range o.disturb {
-		o.disturb[i] = 0
-		o.flipped[i] = false
-		o.flipAt[i] = 0
+	for _, c := range o.chunks {
+		clear(c.disturb)
+		clear(c.latched)
 	}
+	clear(o.flipAt)
 	o.flips = nil
 	o.acts = 0
 }
@@ -217,23 +271,25 @@ func (o *Oracle) TopVictims(n int) []VictimReport {
 		return nil
 	}
 	top := make([]VictimReport, 0, n+1)
-	for row, d := range o.disturb {
-		if d == 0 {
-			continue
-		}
-		// Insertion into the small sorted slice.
-		i := len(top)
-		for i > 0 && top[i-1].Disturbance < d {
-			i--
-		}
-		if i >= n {
-			continue
-		}
-		top = append(top, VictimReport{})
-		copy(top[i+1:], top[i:])
-		top[i] = VictimReport{Row: row, Disturbance: d}
-		if len(top) > n {
-			top = top[:n]
+	for ci, c := range o.chunks {
+		for i, d := range c.disturb {
+			if d == 0 {
+				continue
+			}
+			// Insertion into the small sorted slice.
+			j := len(top)
+			for j > 0 && top[j-1].Disturbance < d {
+				j--
+			}
+			if j >= n {
+				continue
+			}
+			top = append(top, VictimReport{})
+			copy(top[j+1:], top[j:])
+			top[j] = VictimReport{Row: ci*chunkRows + i, Disturbance: d}
+			if len(top) > n {
+				top = top[:n]
+			}
 		}
 	}
 	return top

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -317,8 +318,9 @@ func TestRunIsDeterministic(t *testing.T) {
 
 func TestEveryRowRefreshedWithinWindow(t *testing.T) {
 	// The retention guarantee of §II-A, as enforced by the simulator: over
-	// any elapsed tREFW, the auto-refresh routine covers every row. Run an
-	// idle-ish trace spanning two windows and check per-row last-refresh
+	// any elapsed tREFW, the auto-refresh routine covers every row. Issue
+	// REFs across two windows, record each row's last refresh from the rows
+	// and completion times AutoRefresh returns, and check every row's
 	// recency at the horizon.
 	timing := smallTiming()
 	rows := 1 << 12
@@ -326,17 +328,52 @@ func TestEveryRowRefreshedWithinWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	last := make([]dram.Time, rows)
 	var now dram.Time
 	horizon := 2 * timing.TREFW
 	for now < horizon {
-		done, _ := b.AutoRefresh(now)
-		_ = done
+		done, refreshed := b.AutoRefresh(now)
+		for _, r := range refreshed {
+			last[r] = done
+		}
 		now += timing.TREFI
 	}
 	for r := 0; r < rows; r++ {
-		if age := horizon - b.LastRefresh(r); age > timing.TREFW {
+		if age := horizon - last[r]; age > timing.TREFW {
 			t.Fatalf("row %d last refreshed %v before the horizon (> tREFW %v)", r, age, timing.TREFW)
 		}
+	}
+}
+
+// TestReplayMemoryFollowsTouchedRows bounds a replay's allocations by the
+// rows it touches, not the bank size: a short trace on 4 banks × 2^20 rows
+// under Graphene with the oracle armed must allocate under 16 MB in total.
+// Per-row bank and oracle arrays alone would take ~100 MB here.
+func TestReplayMemoryFollowsTouchedRows(t *testing.T) {
+	timing := dram.DDR4()
+	rows := 1 << 20
+	geo := dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 4, RowsPerBank: rows}
+	var accs []trace.Access
+	for i := 0; i < 20000; i++ {
+		bank := i % 4
+		accs = append(accs, trace.Access{Bank: bank, Row: bank*(rows/4) + (i/4)%64*1031})
+	}
+	cfg := Config{Geometry: geo, Timing: timing, TRH: 12500, Factory: grapheneFactory(12500, rows, timing)}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg, trace.FromSlice("spread", accs))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ACTs != int64(len(accs)) || res.REFCommands == 0 {
+		t.Fatalf("replayed %d ACTs and %d REFs, want %d ACTs and some REFs", res.ACTs, res.REFCommands, len(accs))
+	}
+	alloc := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("replay allocated %.1f MB", alloc)
+	if alloc >= 16 {
+		t.Errorf("replay allocated %.1f MB, want < 16 MB", alloc)
 	}
 }
 

@@ -289,19 +289,40 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	// Totals reads these whether or not a Recorder is set: without one they
+	// are the server's own counters, bumped per session and per wire read,
+	// never per ACT.
+	counter := func(name string) *obs.Counter {
+		if c := cfg.Obs.Counter(name); c != nil {
+			return c
+		}
+		return new(obs.Counter)
+	}
 	return &Server{
 		cfg:       cfg,
 		ln:        ln,
 		pool:      sched.NewShards(cfg.Shards, cfg.ShardQueue, cfg.Obs),
-		sessions:  cfg.Obs.Counter("serve_sessions_total"),
-		errors:    cfg.Obs.Counter("serve_session_errors_total"),
-		acts:      cfg.Obs.Counter("serve_acts_total"),
-		bytesIn:   cfg.Obs.Counter("serve_bytes_in_total"),
+		sessions:  counter("serve_sessions_total"),
+		errors:    counter("serve_session_errors_total"),
+		acts:      counter("serve_acts_total"),
+		bytesIn:   counter("serve_bytes_in_total"),
 		active:    cfg.Obs.Gauge("serve_tenants_active"),
 		closeCh:   make(chan struct{}),
 		conns:     map[net.Conn]struct{}{},
 		semaphore: make(chan struct{}, cfg.MaxTenants),
 	}, nil
+}
+
+// Totals is the daemon's lifetime session accounting: sessions admitted,
+// sessions failed, ACTs replayed, and wire bytes read.
+type Totals struct {
+	Sessions, Errors, ACTs, BytesIn int64
+}
+
+// Totals returns the session accounting so far. It counts whether or not
+// Config.Obs is set; with a Recorder it reads the serve_* counters.
+func (s *Server) Totals() Totals {
+	return Totals{Sessions: s.sessions.Value(), Errors: s.errors.Value(), ACTs: s.acts.Value(), BytesIn: s.bytesIn.Value()}
 }
 
 // Addr returns the listener's actual address.
@@ -429,9 +450,7 @@ func (s *Server) admit(conn net.Conn) {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		},
 	}
-	if c := s.bytesIn; c != nil {
-		fr.count = c.Add
-	}
+	fr.count = s.bytesIn.Add
 
 	sn, err := s.handshake(conn, fr, id)
 	if err != nil {

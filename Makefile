@@ -2,9 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve fuzz race stress tables security examples check
+.PHONY: all fmt build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve fuzz race stress tables security examples check
 
 all: check
+
+# Formatting gate: every tracked Go file must be gofmt-clean. The file
+# list comes from git rather than `.`, because .bench_build/ can hold a Go
+# tree (perfbench's GOPATH module cache).
+fmt:
+	@files="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$files" ]; then echo "gofmt needs to format:"; echo "$$files"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -175,4 +182,4 @@ examples:
 	$(GO) run ./examples/pagepolicy
 	$(GO) run ./examples/observability
 
-check: build vet test race stress bench-sweep bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve
+check: fmt build vet test race stress bench-sweep bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve

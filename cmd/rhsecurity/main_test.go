@@ -32,6 +32,8 @@ func TestRunWithMonteCarlo(t *testing.T) {
 		"PARA vs single-row",
 		"PRoHIT vs Fig.7(a)",
 		"MRLoc vs Fig.7(b)",
+		"TRR vs single-row",
+		"TRR vs TRRespass-8",
 		"Graphene vs Fig.7(a)",
 		"RowPress (DDR5-4800",
 		"Graphene (rowpress)",
@@ -56,13 +58,18 @@ func TestRunWithMonteCarlo(t *testing.T) {
 			}
 		}
 	}
-	// The headline claims must hold even at 3 trials: Graphene rows report
-	// 0 failures, PRoHIT-vs-7(a) reports all-failures.
+	// The headline claims must hold even at 3 trials: Graphene rows and
+	// TRR against the single-row hammer report 0 failures, TRR under
+	// TRRespass fails at least once, PRoHIT-vs-7(a) reports all-failures.
 	for _, line := range strings.Split(out, "\n") {
 		switch {
-		case strings.Contains(line, "Graphene vs"):
+		case strings.Contains(line, "Graphene vs"), strings.Contains(line, "TRR vs single-row"):
 			if !strings.Contains(line, " 0/3") {
-				t.Errorf("Graphene line shows failures: %q", line)
+				t.Errorf("line shows failures: %q", line)
+			}
+		case strings.Contains(line, "TRR vs TRRespass-8"):
+			if strings.Contains(line, " 0/3") {
+				t.Errorf("TRRespass line shows no failures: %q", line)
 			}
 		case strings.Contains(line, "PRoHIT vs Fig.7(a)"):
 			if !strings.Contains(line, " 3/3") {

@@ -59,7 +59,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.workload, "workload", "mcf", "workload: a profile name (mcf, milc, …), S1-10, S1-20, S2, S3, S4, prohit-pattern, mrloc-pattern, or worst")
 	flag.StringVar(&o.trace, "trace", "", "replay a recorded trace file (text or binary) instead of -workload; geometry auto-sizes to the trace")
-	flag.StringVar(&o.scheme, "scheme", "graphene", "scheme: graphene, twice, cbt, para, prohit, mrloc, cra, perrow, none")
+	flag.StringVar(&o.scheme, "scheme", "graphene", "scheme: "+strings.Join(sim.SchemeNames(), ", "))
 	flag.StringVar(&o.profile, "profile", "ddr4", "device profile: ddr4 or ddr5 (DDR5-4800 timing with tRAS and Refresh Management)")
 	flag.BoolVar(&o.rowpress, "rowpress", false, "duration-aware tracking: schemes weigh counter increments by each ACT's open-row dwell")
 	flag.Int64Var(&o.trh, "trh", 50000, "Row Hammer threshold")

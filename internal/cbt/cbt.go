@@ -39,18 +39,10 @@ type Config struct {
 	Distance int
 
 	// Rowpress makes the tree counters duration-aware: an ACT whose
-	// open-row dwell exceeds NRAS adds mitigation.RowpressIncrement(dwell,
-	// NRAS, RowpressIncrementTicks) instead of 1 to the covering counter.
-	// Off (the default), dwell columns are ignored.
+	// open-row dwell exceeds the device's nRAS (Timing.NRAS()) adds
+	// mitigation.RowpressIncrement(dwell, nRAS) instead of 1 to the
+	// covering counter. Off (the default), dwell columns are ignored.
 	Rowpress bool
-
-	// RowpressIncrementTicks is the open-row time per extra increment;
-	// zero defaults to NRAS.
-	RowpressIncrementTicks dram.Time
-
-	// NRAS is the device's minimum open-row time; zero defaults to
-	// Timing.NRAS().
-	NRAS dram.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -69,12 +61,6 @@ func (c Config) withDefaults() Config {
 	if c.Distance == 0 {
 		c.Distance = 1
 	}
-	if c.NRAS == 0 {
-		c.NRAS = c.Timing.NRAS()
-	}
-	if c.RowpressIncrementTicks == 0 {
-		c.RowpressIncrementTicks = c.NRAS
-	}
 	return c
 }
 
@@ -89,14 +75,15 @@ type node struct {
 type CBT struct {
 	cfg    Config
 	tLast  int64
-	splits []int64 // split threshold per level
+	splits []int64   // split threshold per level
+	nras   dram.Time // the device's minimum open-row time (RowPress unit)
 
 	nodes []node // live counters ordered by lo (disjoint cover of the bank)
 
 	// regionScratch backs the explicit Rows list of a region-refresh
 	// trigger. CBT owns and recycles it across triggers (API v2 contract,
 	// DESIGN.md §9): the appended refresh is valid only until the next
-	// AppendOnActivate/Reset call and must be consumed, not retained.
+	// Append call and must be consumed, not retained.
 	regionScratch []int
 
 	windowEnd dram.Time
@@ -124,19 +111,16 @@ func New(cfg Config) (*CBT, error) {
 	if err := cfg.Timing.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.NRAS < 0 || cfg.RowpressIncrementTicks < 0 {
-		return nil, fmt.Errorf("cbt: negative RowPress parameter (NRAS %v, increment ticks %v)", cfg.NRAS, cfg.RowpressIncrementTicks)
-	}
 	tLast := cfg.TRH / 4 // same double-sided + window-phase factor as §III-B
 	if tLast < int64(cfg.Levels) {
 		return nil, fmt.Errorf("cbt: TRH %d too small for %d levels", cfg.TRH, cfg.Levels)
 	}
-	c := &CBT{cfg: cfg, tLast: tLast, window: cfg.Timing.TREFW}
+	c := &CBT{cfg: cfg, tLast: tLast, nras: cfg.Timing.NRAS(), window: cfg.Timing.TREFW, windowEnd: cfg.Timing.TREFW}
 	c.splits = make([]int64, cfg.Levels)
 	for l := 0; l < cfg.Levels; l++ {
 		c.splits[l] = tLast * int64(l+1) / int64(cfg.Levels)
 	}
-	c.Reset()
+	c.resetTree()
 	return c, nil
 }
 
@@ -262,25 +246,27 @@ func (c *CBT) appendVictimRefreshes(dst []mitigation.VictimRefresh, lo, hi int) 
 	return dst
 }
 
-// AppendOnActivateBatch implements mitigation.Mitigator through the
-// shared scalar-loop adapter (the controller's batch replay still saves
-// the per-ACT dispatch and timing work around it). With Config.Rowpress
-// and a dwell column, each ACT instead feeds its duration-weighted
-// increment, stopping after the first appending ACT per the contract.
+// AppendOnActivateBatch implements mitigation.Mitigator: each ACT feeds
+// observe with its increment — 1, or under Config.Rowpress with a dwell
+// column its duration weight — and the loop stops after the first
+// appending ACT per the contract (the controller's batch replay still
+// saves the per-ACT dispatch and timing work around it).
 func (c *CBT) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	if c.cfg.Rowpress && dwell != nil {
-		nras, incTicks := c.cfg.NRAS, c.cfg.RowpressIncrementTicks
-		for i := range rows {
-			pre := len(dst)
-			inc := mitigation.RowpressIncrement(dwell[i], nras, incTicks)
-			dst = c.observe(dst, int(rows[i]), now[i], inc)
-			if len(dst) > pre {
-				return dst, i + 1
-			}
-		}
-		return dst, len(rows)
+	if !c.cfg.Rowpress {
+		dwell = nil
 	}
-	return mitigation.ScalarBatch(c, dst, rows, now, dwell)
+	for i, r := range rows {
+		inc := int64(1)
+		if dwell != nil {
+			inc = mitigation.RowpressIncrement(dwell[i], c.nras)
+		}
+		pre := len(dst)
+		dst = c.observe(dst, int(r), now[i], inc)
+		if len(dst) > pre {
+			return dst, i + 1
+		}
+	}
+	return dst, len(rows)
 }
 
 // AppendTick implements mitigation.Mitigator; CBT takes no refresh-time
@@ -292,15 +278,6 @@ func (c *CBT) AppendTick(dst []mitigation.VictimRefresh, now dram.Time) []mitiga
 func (c *CBT) resetTree() {
 	c.nodes = c.nodes[:0]
 	c.nodes = append(c.nodes, node{lo: 0, hi: c.cfg.Rows, level: 0})
-}
-
-// Reset implements mitigation.Mitigator.
-func (c *CBT) Reset() {
-	c.resetTree()
-	c.windowEnd = c.window
-	c.refreshes = 0
-	c.rowsRefr = 0
-	c.splitCount = 0
 }
 
 // Cost implements mitigation.Mitigator: SRAM counters, each holding a count

@@ -141,14 +141,6 @@ func (c *CRA) AppendTick(dst []mitigation.VictimRefresh, now dram.Time) []mitiga
 	return dst
 }
 
-// Reset implements mitigation.Mitigator.
-func (c *CRA) Reset() {
-	c.lru.Init()
-	clear(c.index)
-	clear(c.backing)
-	c.hits, c.misses, c.refreshes = 0, 0, 0
-}
-
 // Cost implements mitigation.Mitigator: only the on-chip cache counts as
 // tracking hardware (the full counter array lives in DRAM).
 func (c *CRA) Cost() mitigation.HardwareCost {

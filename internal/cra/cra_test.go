@@ -80,25 +80,6 @@ func TestLRUKeepsHotLine(t *testing.T) {
 	}
 }
 
-func TestResetClears(t *testing.T) {
-	c, err := New(Config{TRH: 50000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		c.AppendOnActivate(nil, i, 0)
-	}
-	c.Reset()
-	if c.Hits() != 0 || c.Misses() != 0 || c.VictimRefreshes() != 0 {
-		t.Error("Reset left counters")
-	}
-	// Backing store must also clear (fresh window).
-	c.AppendOnActivate(nil, 5, 0)
-	if got := c.index[5].Value.(*line).count; got != 1 {
-		t.Errorf("count after reset = %d, want 1", got)
-	}
-}
-
 func TestCostIsCacheOnly(t *testing.T) {
 	c, err := New(Config{TRH: 50000, CacheLines: 128, Rows: 64 * 1024})
 	if err != nil {

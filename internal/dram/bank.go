@@ -90,18 +90,11 @@ func (b *Bank) occupy(from, dur Time) (start, end Time) {
 	return start, end
 }
 
-// Activate opens row at the earliest device-legal time at or after now and
-// returns when the row cycle completes. The bank is occupied for tRC (the
-// paper's per-ACT bank occupancy unit).
-func (b *Bank) Activate(row int, now Time) (done Time, err error) {
-	return b.ActivateOpen(row, now, 0)
-}
-
-// ActivateOpen is Activate with an explicit open-row dwell: the row stays
-// open for dwell before precharging, so the cycle occupies
-// max(tRC, dwell + tRP). Dwell 0 means the device minimum — exactly
-// Activate's tRC occupancy, which is what keeps dwell-unaware traces
-// byte-identical.
+// ActivateOpen opens row at the earliest device-legal time at or after now
+// and returns when the row cycle completes. The row stays open for dwell
+// before precharging, so the cycle occupies max(tRC, dwell + tRP). Dwell 0
+// means the device minimum — exactly tRC, the paper's per-ACT bank
+// occupancy unit, which is what keeps dwell-unaware traces byte-identical.
 func (b *Bank) ActivateOpen(row int, now, dwell Time) (done Time, err error) {
 	if row < 0 || row >= b.rows {
 		return 0, fmt.Errorf("dram: activate row %d out of range [0,%d)", row, b.rows)
@@ -127,11 +120,12 @@ func (t Timing) ActCycle(dwell Time) Time {
 
 // ActivateRun accounts a run of count activations in one step — the batched
 // replay's bank-side bookkeeping (DESIGN.md §11). The caller has already
-// walked the occupancy recurrence Activate uses (start = max(arrival,
+// walked the occupancy recurrence ActivateOpen uses (start = max(arrival,
 // busyUntil), end = start + tRC, arrival_next = end + gap) across the run;
 // end is the completion time of the run's last activation, and the rows
-// must have been range-checked upstream. Equivalent to count Activate
-// calls: same ACT count, same tRC-per-ACT busy time, same final busyUntil.
+// must have been range-checked upstream. Equivalent to count dwell-0
+// ActivateOpen calls: same ACT count, same tRC-per-ACT busy time, same
+// final busyUntil.
 func (b *Bank) ActivateRun(count int, end Time) {
 	b.ActivateRunOpen(count, Time(count)*b.timing.TRC, end)
 }

@@ -22,17 +22,17 @@ func TestNewBankRejectsBadInputs(t *testing.T) {
 
 func TestActivateOccupiesBankForTRC(t *testing.T) {
 	b := newTestBank(t, 1024)
-	done, err := b.Activate(3, 0)
+	done, err := b.ActivateOpen(3, 0, 0)
 	if err != nil {
-		t.Fatalf("Activate: %v", err)
+		t.Fatalf("ActivateOpen: %v", err)
 	}
 	if done != b.Timing().TRC {
 		t.Errorf("first ACT done at %v, want tRC %v", done, b.Timing().TRC)
 	}
 	// A second ACT issued "at the same time" must queue behind the first.
-	done2, err := b.Activate(4, 0)
+	done2, err := b.ActivateOpen(4, 0, 0)
 	if err != nil {
-		t.Fatalf("Activate: %v", err)
+		t.Fatalf("ActivateOpen: %v", err)
 	}
 	if done2 != 2*b.Timing().TRC {
 		t.Errorf("second ACT done at %v, want %v", done2, 2*b.Timing().TRC)
@@ -45,8 +45,8 @@ func TestActivateOccupiesBankForTRC(t *testing.T) {
 func TestActivateRejectsOutOfRangeRow(t *testing.T) {
 	b := newTestBank(t, 16)
 	for _, row := range []int{-1, 16, 1 << 20} {
-		if _, err := b.Activate(row, 0); err == nil {
-			t.Errorf("Activate(%d) accepted out-of-range row", row)
+		if _, err := b.ActivateOpen(row, 0, 0); err == nil {
+			t.Errorf("ActivateOpen(%d) accepted out-of-range row", row)
 		}
 	}
 }
@@ -192,7 +192,7 @@ func TestRefreshRowsExplicitSet(t *testing.T) {
 
 func TestBusyTimeAccumulates(t *testing.T) {
 	b := newTestBank(t, 1024)
-	if _, err := b.Activate(1, 0); err != nil {
+	if _, err := b.ActivateOpen(1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	b.AutoRefresh(0)

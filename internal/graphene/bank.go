@@ -15,6 +15,7 @@ type Bank struct {
 	cfg    Config
 	params Params
 	table  *Table
+	nras   dram.Time // the device's minimum open-row time (RowPress unit)
 
 	windowEnd dram.Time
 	resets    int64
@@ -47,7 +48,7 @@ func New(cfg Config) (*Bank, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Bank{cfg: cfg, params: p, table: tb, windowEnd: p.Window}, nil
+	return &Bank{cfg: cfg, params: p, table: tb, nras: cfg.Timing.NRAS(), windowEnd: p.Window}, nil
 }
 
 // Name implements mitigation.Mitigator.
@@ -90,148 +91,112 @@ func (b *Bank) SetRecorder(rec *obs.Recorder, bank int) {
 // ±Distance victim refresh (§III-B, §III-D) — the hot path allocates
 // nothing of its own.
 func (b *Bank) AppendOnActivate(dst []mitigation.VictimRefresh, row int, now dram.Time) []mitigation.VictimRefresh {
-	for now >= b.windowEnd {
-		b.snapshotWindow()
-		b.table.Reset()
-		b.windowEnd += b.params.Window
-		b.resets++
+	b.advanceWindow(now)
+	trigger, alertEdge := b.table.ObserveW(row, 1)
+	if alertEdge {
+		b.raiseAlert(now)
 	}
-	wasAlerting := b.table.Alert()
-	if !b.table.Observe(row) {
-		// Count the alert once per window, on its rising edge.
-		if !wasAlerting && b.table.Alert() {
-			b.alerts++
-			b.alertsC.Inc()
-			if b.rec != nil {
-				b.rec.Emit(obs.Event{
-					Kind: obs.KindSpillAlert, Scheme: b.Name(), Bank: b.obsBank,
-					Time: int64(now), Value: b.table.Spillover(),
-				})
-			}
-		}
-		return dst
+	if trigger {
+		dst = b.refresh(dst, row)
 	}
-	b.refreshes++
-	return append(dst, mitigation.VictimRefresh{Aggressor: row, Distance: b.cfg.Distance})
+	return dst
 }
 
 // AppendOnActivateBatch implements mitigation.Mitigator — the fused batch
 // path of DESIGN.md §11. The run is sliced at reset-window boundaries
-// (windows depend only on now, never on the rows), each slice streams
-// through Table.ObserveRun's hoisted Misra-Gries loop, and the batch stops
-// at the first trigger exactly as the contract requires. A spillover-alert
-// rising edge also ends an ObserveRun — the table can't know event times —
-// so the alert is emitted here at the edge ACT's timestamp and the run
-// resumes; every counter, event, and append is byte-identical to feeding
-// the same ACTs through AppendOnActivate.
+// (windows depend only on now, never on the rows), and the batch stops at
+// the first trigger exactly as the contract requires. A window slice
+// streams through Table.ObserveRun's hoisted Misra-Gries loop whole when
+// there is no dwell column or Config.Rowpress is off; otherwise
+// minimum-dwell spans (increment 1) still stream through ObserveRun and
+// only ACTs whose dwell exceeds nRAS pay the weighted ObserveW call — one
+// victim refresh per triggering ACT regardless of how many multiples of T
+// the increment crossed, since a single NRR already restores every
+// neighbor's full charge. A spillover-alert rising edge also ends an
+// ObserveRun — the table can't know event times — so the alert is emitted
+// here at the edge ACT's timestamp and the run resumes; every counter,
+// event, and append is byte-identical to feeding the same ACTs through
+// AppendOnActivate.
 func (b *Bank) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	if b.cfg.Rowpress && dwell != nil {
-		return b.appendBatchRowpress(dst, rows, now, dwell)
+	if !b.cfg.Rowpress {
+		dwell = nil
 	}
+	nras := b.nras
 	i, n := 0, len(rows)
 	for i < n {
-		for now[i] >= b.windowEnd {
-			b.snapshotWindow()
-			b.table.Reset()
-			b.windowEnd += b.params.Window
-			b.resets++
-		}
-		j := i + 1
-		for j < n && now[j] < b.windowEnd {
-			j++
-		}
-		consumed, trigger, alertEdge := b.table.ObserveRun(rows[i:j])
-		i += consumed
-		if trigger {
-			b.refreshes++
-			return append(dst, mitigation.VictimRefresh{Aggressor: int(rows[i-1]), Distance: b.cfg.Distance}), i
-		}
-		if alertEdge {
-			b.alerts++
-			b.alertsC.Inc()
-			if b.rec != nil {
-				b.rec.Emit(obs.Event{
-					Kind: obs.KindSpillAlert, Scheme: b.Name(), Bank: b.obsBank,
-					Time: int64(now[i-1]), Value: b.table.Spillover(),
-				})
-			}
-		}
-	}
-	return dst, n
-}
-
-// appendBatchRowpress is the duration-aware batch path: each ACT's dwell
-// converts to a counter increment (mitigation.RowpressIncrement with the
-// configured NRAS and RowpressIncrementTicks). Minimum-dwell spans — the
-// common case, where every increment is 1 — stream through the same
-// hoisted Table.ObserveRun loop as the legacy batch path; only ACTs whose
-// dwell exceeds nRAS pay the weighted ObserveW call. One victim refresh
-// per triggering ACT regardless of how many multiples of T the weighted
-// increment crossed — a single NRR already restores every neighbor's full
-// charge. The batch contract (stop after the first appending ACT) is
-// unchanged.
-func (b *Bank) appendBatchRowpress(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	nras, incTicks := b.cfg.NRAS, b.cfg.RowpressIncrementTicks
-	i, n := 0, len(rows)
-	for i < n {
-		for now[i] >= b.windowEnd {
-			b.snapshotWindow()
-			b.table.Reset()
-			b.windowEnd += b.params.Window
-			b.resets++
-		}
+		b.advanceWindow(now[i])
 		j := i + 1
 		for j < n && now[j] < b.windowEnd {
 			j++
 		}
 		for i < j {
 			var trigger, alertEdge bool
-			if dwell[i] <= nras {
-				k := i + 1
-				for k < j && dwell[k] <= nras {
-					k++
+			if dwell == nil || dwell[i] <= nras {
+				k := j
+				if dwell != nil {
+					k = i + 1
+					for k < j && dwell[k] <= nras {
+						k++
+					}
 				}
 				var consumed int
 				consumed, trigger, alertEdge = b.table.ObserveRun(rows[i:k])
 				i += consumed
 			} else {
-				inc := mitigation.RowpressIncrement(dwell[i], nras, incTicks)
-				trigger, alertEdge = b.table.ObserveW(int(rows[i]), inc)
+				trigger, alertEdge = b.table.ObserveW(int(rows[i]), mitigation.RowpressIncrement(dwell[i], nras))
 				i++
 			}
 			if alertEdge {
-				b.alerts++
-				b.alertsC.Inc()
-				if b.rec != nil {
-					b.rec.Emit(obs.Event{
-						Kind: obs.KindSpillAlert, Scheme: b.Name(), Bank: b.obsBank,
-						Time: int64(now[i-1]), Value: b.table.Spillover(),
-					})
-				}
+				b.raiseAlert(now[i-1])
 			}
 			if trigger {
-				b.refreshes++
-				return append(dst, mitigation.VictimRefresh{Aggressor: int(rows[i-1]), Distance: b.cfg.Distance}), i
+				return b.refresh(dst, int(rows[i-1])), i
 			}
 		}
 	}
 	return dst, n
 }
 
+// advanceWindow closes every reset window that ended at or before now
+// (§III-B, §IV-C): the table restarts empty each tREFW/K. It stays small
+// enough to inline, so the common no-boundary case costs one compare.
+func (b *Bank) advanceWindow(now dram.Time) {
+	for now >= b.windowEnd {
+		b.closeWindow()
+	}
+}
+
+// closeWindow records the ending window and resets the table for the next.
+func (b *Bank) closeWindow() {
+	b.snapshotWindow()
+	b.table.Reset()
+	b.windowEnd += b.params.Window
+	b.resets++
+}
+
+// raiseAlert records the spillover alert's rising edge — once per window,
+// at the timestamp of the ACT that raised it.
+func (b *Bank) raiseAlert(now dram.Time) {
+	b.alerts++
+	b.alertsC.Inc()
+	if b.rec != nil {
+		b.rec.Emit(obs.Event{
+			Kind: obs.KindSpillAlert, Scheme: b.Name(), Bank: b.obsBank,
+			Time: int64(now), Value: b.table.Spillover(),
+		})
+	}
+}
+
+// refresh appends the ±Distance victim refresh of a triggering row.
+func (b *Bank) refresh(dst []mitigation.VictimRefresh, row int) []mitigation.VictimRefresh {
+	b.refreshes++
+	return append(dst, mitigation.VictimRefresh{Aggressor: row, Distance: b.cfg.Distance})
+}
+
 // AppendTick implements mitigation.Mitigator; Graphene takes no
 // refresh-time action.
 func (b *Bank) AppendTick(dst []mitigation.VictimRefresh, now dram.Time) []mitigation.VictimRefresh {
 	return dst
-}
-
-// Reset implements mitigation.Mitigator.
-func (b *Bank) Reset() {
-	b.table.Reset()
-	b.windowEnd = b.params.Window
-	b.resets = 0
-	b.refreshes = 0
-	b.alerts = 0
-	b.history = nil
 }
 
 // Cost implements mitigation.Mitigator: the whole table is CAM (address CAM

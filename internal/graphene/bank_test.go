@@ -108,23 +108,6 @@ func TestBankCostMatchesParams(t *testing.T) {
 	}
 }
 
-func TestBankResetRestoresInitialState(t *testing.T) {
-	b, err := New(Config{TRH: 50000, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		b.AppendOnActivate(nil, i%17, dram.Time(i)*50*dram.Nanosecond)
-	}
-	b.Reset()
-	if b.Resets() != 0 || b.VictimRefreshes() != 0 {
-		t.Errorf("Reset left counters: resets %d refreshes %d", b.Resets(), b.VictimRefreshes())
-	}
-	if got := len(b.Table().Tracked()); got != 0 {
-		t.Errorf("Reset left %d tracked rows", got)
-	}
-}
-
 // driveWithOracle replays a row stream through a Graphene bank and the
 // ground-truth oracle, modeling the normal refresh routine: every row is
 // refreshed once per tREFW at a fixed per-row phase (the rolling refresh of
@@ -342,10 +325,6 @@ func TestWindowHistoryRecordsCompletedWindows(t *testing.T) {
 		if i > 0 && ws.Index <= hist[i-1].Index {
 			t.Errorf("window indexes not increasing: %d then %d", hist[i-1].Index, ws.Index)
 		}
-	}
-	b.Reset()
-	if len(b.WindowHistory()) != 0 {
-		t.Error("Reset kept history")
 	}
 }
 

@@ -55,23 +55,13 @@ type Config struct {
 	DisableOverflowBit bool
 
 	// Rowpress enables duration-aware tracking: an ACT whose open-row
-	// dwell exceeds NRAS counts as 1 + ceil((dwell−NRAS)/
-	// RowpressIncrementTicks) activations (mitigation.RowpressIncrement),
-	// and Derive sizes the table for the worst-case increment rate
-	// instead of the worst-case ACT rate. Off (the default), dwell
-	// columns are ignored and behaviour is bit-identical to the
-	// pre-RowPress engine.
+	// dwell exceeds the device's nRAS (Timing.NRAS()) counts as
+	// 1 + ceil((dwell−nRAS)/nRAS) activations
+	// (mitigation.RowpressIncrement), and Derive sizes the table for the
+	// worst-case increment rate instead of the worst-case ACT rate. Off
+	// (the default), dwell columns are ignored and behaviour is
+	// bit-identical to the pre-RowPress engine.
 	Rowpress bool
-
-	// RowpressIncrementTicks is the open-row time per extra increment.
-	// Zero defaults to NRAS, which keeps the tracker's increment at or
-	// above the oracle's dwell/nRAS disturbance weight (soundness under
-	// RowPress); smaller values make the tracker more conservative.
-	RowpressIncrementTicks dram.Time
-
-	// NRAS is the device's minimum open-row time, the dwell every
-	// legacy access implies. Zero defaults to Timing.NRAS().
-	NRAS dram.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -89,12 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Distance == 0 {
 		c.Distance = 1
-	}
-	if c.NRAS == 0 {
-		c.NRAS = c.Timing.NRAS()
-	}
-	if c.RowpressIncrementTicks == 0 {
-		c.RowpressIncrementTicks = c.NRAS
 	}
 	return c
 }
@@ -151,10 +135,6 @@ func (c Config) Derive() (Params, error) {
 		return Params{}, err
 	}
 
-	if c.NRAS < 0 || c.RowpressIncrementTicks < 0 {
-		return Params{}, fmt.Errorf("graphene: negative RowPress parameter (NRAS %v, increment ticks %v)", c.NRAS, c.RowpressIncrementTicks)
-	}
-
 	t := int64(float64(c.TRH) / (2 * float64(c.K+1) * amp))
 	if t < 1 {
 		return Params{}, fmt.Errorf("graphene: derived T < 1 (TRH %d too small for K %d, distance %d)", c.TRH, c.K, c.Distance)
@@ -164,17 +144,14 @@ func (c Config) Derive() (Params, error) {
 	if c.Rowpress {
 		// Duration-aware sizing: one ACT holding its row open for dwell
 		// occupies the bank for max(tRC, dwell+tRP) yet earns
-		// 1 + ceil((dwell−nRAS)/incTicks) increments, so the worst-case
-		// increment rate is 1/min(tRC, incTicks) — an attacker trades ACT
-		// frequency against per-ACT weight. Sizing W to that rate keeps
-		// Inequality 1 (and with it the spillover bound and the tracking
-		// guarantee) valid over increments instead of raw ACTs.
-		eff := c.Timing.TRC
-		if c.RowpressIncrementTicks < eff {
-			eff = c.RowpressIncrementTicks
-		}
+		// 1 + ceil((dwell−nRAS)/nRAS) increments, so the worst-case
+		// increment rate is 1/nRAS (tRAS < tRC, and the fallback nRAS is
+		// tRC − tRP) — an attacker trades ACT frequency against per-ACT
+		// weight. Sizing W to that rate keeps Inequality 1 (and with it
+		// the spillover bound and the tracking guarantee) valid over
+		// increments instead of raw ACTs.
 		avail := float64(window) * (1 - float64(c.Timing.TRFC)/float64(c.Timing.TREFI))
-		w = int64(avail / float64(eff))
+		w = int64(avail / float64(c.Timing.NRAS()))
 	}
 	if w <= 0 {
 		return Params{}, fmt.Errorf("graphene: window %v admits no activations", window)

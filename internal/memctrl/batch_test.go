@@ -106,7 +106,6 @@ func (c *contractBreaker) AppendOnActivateBatch(dst []mitigation.VictimRefresh, 
 func (c *contractBreaker) AppendTick(dst []mitigation.VictimRefresh, now dram.Time) []mitigation.VictimRefresh {
 	return dst
 }
-func (c *contractBreaker) Reset()                        {}
 func (c *contractBreaker) Cost() mitigation.HardwareCost { return mitigation.HardwareCost{} }
 
 // TestBatchContractViolationFails: a scheme whose batch consumes nothing

@@ -436,7 +436,6 @@ func (e *evilMit) AppendTick(dst []mitigation.VictimRefresh, now dram.Time) []mi
 func (e *evilMit) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
 	return mitigation.ScalarBatch(e, dst, rows, now, dwell)
 }
-func (e *evilMit) Reset()                        {}
 func (e *evilMit) Cost() mitigation.HardwareCost { return mitigation.HardwareCost{} }
 
 func TestBuggySchemeErrorsPropagate(t *testing.T) {

@@ -132,12 +132,6 @@ func (w *Instrumented) report(vrs []VictimRefresh, now dram.Time) {
 	}
 }
 
-// Reset implements Mitigator.
-func (w *Instrumented) Reset() {
-	w.inner.Reset()
-	w.acts = 0
-}
-
 // Cost implements Mitigator.
 func (w *Instrumented) Cost() HardwareCost { return w.inner.Cost() }
 

@@ -3,11 +3,12 @@
 // used for the paper's area comparisons (Table IV, Fig. 9(a)).
 //
 // A Mitigator instance guards a single DRAM bank, mirroring the paper's
-// per-bank counter tables. The memory controller calls AppendOnActivate for
-// every ACT command it issues to that bank and AppendTick at every tREFI
-// (where REF commands are scheduled); the mitigator appends the victim
-// refreshes the controller must perform before the activation stream can
-// continue into a caller-owned buffer that is recycled between calls.
+// per-bank counter tables. The memory controller feeds it every ACT command
+// it issues to that bank (AppendOnActivateBatch, or AppendOnActivate one
+// at a time) and calls AppendTick at every tREFI (where REF commands are
+// scheduled); the mitigator appends the victim refreshes the controller
+// must perform before the activation stream can continue into a
+// caller-owned buffer that is recycled between calls.
 package mitigation
 
 import "graphene/internal/dram"
@@ -56,8 +57,13 @@ func (v VictimRefresh) RowCount(bankRows int) int {
 //
 // Appended VictimRefresh values may carry Rows slices aliasing storage the
 // scheme owns and recycles (CBT's region scratch, PARA's victim cells);
-// they are valid only until the scheme's next AppendOnActivate/AppendTick/
-// Reset call and must be consumed, not retained.
+// they are valid only until the scheme's next Append call and must be
+// consumed, not retained.
+//
+// The interface holds only what the controller drives. There is no reset:
+// every run builds fresh engines through its Factory, and periodic reset
+// windows are each scheme's own business, advanced from the ACT times it
+// is fed.
 type Mitigator interface {
 	// Name identifies the scheme (e.g. "graphene", "para", "cbt-128").
 	Name() string
@@ -98,11 +104,6 @@ type Mitigator interface {
 	// refresh-time victim refreshes to dst; others return dst unchanged.
 	AppendTick(dst []VictimRefresh, now dram.Time) []VictimRefresh
 
-	// Reset clears all tracking state (power-on or test reset). Periodic
-	// reset windows are managed internally by each scheme from the times
-	// passed to AppendOnActivate.
-	Reset()
-
 	// Cost reports the scheme's per-bank hardware cost.
 	Cost() HardwareCost
 }
@@ -112,10 +113,10 @@ type Mitigator interface {
 // immediately after the first one that appended. Schemes without a fused
 // batch path delegate to it in one line, so the whole registry satisfies
 // the batch interface; the fused implementations (Graphene's hoisted
-// Misra-Gries loop, PARA, TWiCe) replace it where the per-call overhead
-// matters. The dwell column is dropped: a dwell-unaware scheme treats
-// every ACT as a minimum-duration activation, exactly like its scalar
-// path.
+// Misra-Gries loop, PARA, TWiCe, CBT) replace it where the per-call
+// overhead matters or the dwell column weighs the count. The dwell column
+// is dropped here: a dwell-unaware scheme treats every ACT as a
+// minimum-duration activation, exactly like its scalar path.
 func ScalarBatch(m Mitigator, dst []VictimRefresh, rows []int32, now, dwell []dram.Time) ([]VictimRefresh, int) {
 	_ = dwell
 	for i, r := range rows {
@@ -131,22 +132,22 @@ func ScalarBatch(m Mitigator, dst []VictimRefresh, rows []int32, now, dwell []dr
 // RowpressIncrement converts one ACT's open-row dwell into a counter
 // increment under the RowPress-aware tracking model: 1 for a
 // minimum-duration activation (dwell 0 or <= nRAS), plus one for every
-// started incTicks of open-row time beyond nRAS —
+// started nRAS of open-row time beyond it —
 //
-//	inc = 1 + ceil(max(0, dwell−nRAS) / incTicks)
+//	inc = 1 + ceil(max(0, dwell−nRAS) / nRAS)    (= ceil(dwell/nRAS) past nRAS)
 //
 // mirroring the rowpress_increment_nticks knob of the RowPress Ramulator
-// patch. With incTicks <= nRAS the increment dominates the oracle's
+// patch at its nRAS setting. The increment dominates the oracle's
 // duration weight dwell/nRAS, which is what preserves a sound tracker's
 // zero-false-negative guarantee under long-open-row attacks; dwell == nRAS
 // yields exactly 1, so RowPress-aware tracking of a minimum-dwell stream
-// is bit-identical to legacy tracking.
-func RowpressIncrement(dwell, nras, incTicks dram.Time) int64 {
-	if dwell <= nras || incTicks <= 0 {
+// is bit-identical to legacy tracking. nras is the device's
+// dram.Timing.NRAS().
+func RowpressIncrement(dwell, nras dram.Time) int64 {
+	if dwell <= nras || nras <= 0 {
 		return 1
 	}
-	extra := dwell - nras
-	return 1 + int64((extra+incTicks-1)/incTicks)
+	return int64((dwell + nras - 1) / nras)
 }
 
 // HardwareCost describes per-bank tracking-structure cost in the units the

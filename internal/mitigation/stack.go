@@ -92,13 +92,6 @@ func (s *Stack) AppendTick(dst []VictimRefresh, now dram.Time) []VictimRefresh {
 	return dst
 }
 
-// Reset implements Mitigator.
-func (s *Stack) Reset() {
-	for _, l := range s.layers {
-		l.Reset()
-	}
-}
-
 // Cost implements Mitigator: the sum over layers.
 func (s *Stack) Cost() HardwareCost {
 	var c HardwareCost

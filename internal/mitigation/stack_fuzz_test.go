@@ -37,7 +37,6 @@ func (m *scriptedMit) AppendTick(dst []VictimRefresh, now dram.Time) []VictimRef
 func (m *scriptedMit) AppendOnActivateBatch(dst []VictimRefresh, rows []int32, now, dwell []dram.Time) ([]VictimRefresh, int) {
 	return ScalarBatch(m, dst, rows, now, dwell)
 }
-func (m *scriptedMit) Reset()             { m.call = 0 }
 func (m *scriptedMit) Cost() HardwareCost { return HardwareCost{} }
 
 // buildScripted decodes one layer's script from the fuzz payload: each call

@@ -11,7 +11,6 @@ type fakeMit struct {
 	name      string
 	onAct     []VictimRefresh
 	onTick    []VictimRefresh
-	resets    int
 	cost      HardwareCost
 	actsSeen  int
 	ticksSeen int
@@ -29,7 +28,6 @@ func (f *fakeMit) AppendTick(dst []VictimRefresh, now dram.Time) []VictimRefresh
 func (f *fakeMit) AppendOnActivateBatch(dst []VictimRefresh, rows []int32, now, dwell []dram.Time) ([]VictimRefresh, int) {
 	return ScalarBatch(f, dst, rows, now, dwell)
 }
-func (f *fakeMit) Reset()             { f.resets++ }
 func (f *fakeMit) Cost() HardwareCost { return f.cost }
 
 func TestStackFansOutAndMerges(t *testing.T) {
@@ -52,10 +50,6 @@ func TestStackFansOutAndMerges(t *testing.T) {
 	tvrs := s.AppendTick(nil, 0)
 	if len(tvrs) != 1 || !tvrs[0].Explicit() {
 		t.Errorf("AppendTick merged %v", tvrs)
-	}
-	s.Reset()
-	if a.resets != 1 || b.resets != 1 {
-		t.Error("Reset did not fan out")
 	}
 	c := s.Cost()
 	if c.CAMBits != 10 || c.SRAMBits != 20 || c.Entries != 2 {

@@ -166,14 +166,6 @@ func (m *MRLoc) AppendTick(dst []mitigation.VictimRefresh, now dram.Time) []miti
 	return dst
 }
 
-// Reset implements mitigation.Mitigator.
-func (m *MRLoc) Reset() {
-	m.queue = m.queue[:0]
-	clear(m.pos)
-	m.rng = rand.New(rand.NewSource(m.cfg.Seed))
-	m.refreshes = 0
-}
-
 // Cost implements mitigation.Mitigator: the history queue is a small CAM of
 // row addresses.
 func (m *MRLoc) Cost() mitigation.HardwareCost {

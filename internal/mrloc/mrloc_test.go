@@ -127,20 +127,6 @@ func TestDeterministicBySeed(t *testing.T) {
 	}
 }
 
-func TestResetClears(t *testing.T) {
-	m, err := New(Config{BaseP: 0.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		m.AppendOnActivate(nil, i*3, 0)
-	}
-	m.Reset()
-	if m.QueueLen() != 0 || m.VictimRefreshes() != 0 {
-		t.Error("Reset left state")
-	}
-}
-
 func TestCostIsSmallCAM(t *testing.T) {
 	m, err := New(Config{BaseP: 0.001, Entries: 15, Rows: 64 * 1024})
 	if err != nil {

@@ -32,22 +32,18 @@ type Config struct {
 	// Seed makes the scheme deterministic for reproducible experiments.
 	Seed int64
 
+	// Timing is the guarded device's timing; its nRAS (Timing.NRAS()) is
+	// the open-row time one RowPress draw round stands for. The zero
+	// value means dram.DDR4().
+	Timing dram.Timing
+
 	// Rowpress makes the probabilistic draw duration-aware: an ACT whose
-	// open-row dwell exceeds NRAS repeats the per-distance Bernoulli
-	// draws mitigation.RowpressIncrement(dwell, NRAS,
-	// RowpressIncrementTicks) times, so the per-ACT refresh probability
-	// scales with open-row time the way the oracle's disturbance does.
-	// Off (the default), dwell columns are ignored and the RNG draw order
-	// is exactly the legacy scheme's.
+	// open-row dwell exceeds nRAS repeats the per-distance Bernoulli
+	// draws mitigation.RowpressIncrement(dwell, nRAS) times, so the
+	// per-ACT refresh probability scales with open-row time the way the
+	// oracle's disturbance does. Off (the default), dwell columns are
+	// ignored and the RNG draw order is exactly the legacy scheme's.
 	Rowpress bool
-
-	// RowpressIncrementTicks is the open-row time per extra draw round;
-	// zero defaults to NRAS.
-	RowpressIncrementTicks dram.Time
-
-	// NRAS is the device's minimum open-row time; zero defaults to the
-	// DDR4 tRAS.
-	NRAS dram.Time
 }
 
 // Classic returns the configuration for original ±1 PARA with refresh
@@ -68,8 +64,10 @@ type Para struct {
 	victimCells []int
 
 	// fired marks distances that already refreshed during the current
-	// ACT's RowPress draw rounds (batch path scratch).
+	// ACT's draw rounds (batch path scratch; all false between ACTs).
 	fired []bool
+
+	nras dram.Time // the device's minimum open-row time (RowPress unit)
 
 	refreshes int64
 }
@@ -92,20 +90,18 @@ func New(cfg Config) (*Para, error) {
 	if cfg.Rows < 0 {
 		return nil, fmt.Errorf("para: rows must be positive, got %d", cfg.Rows)
 	}
-	if cfg.NRAS < 0 || cfg.RowpressIncrementTicks < 0 {
-		return nil, fmt.Errorf("para: negative RowPress parameter (NRAS %v, increment ticks %v)", cfg.NRAS, cfg.RowpressIncrementTicks)
+	if cfg.Timing == (dram.Timing{}) {
+		cfg.Timing = dram.DDR4()
 	}
-	if cfg.NRAS == 0 {
-		cfg.NRAS = dram.DDR4().NRAS()
-	}
-	if cfg.RowpressIncrementTicks == 0 {
-		cfg.RowpressIncrementTicks = cfg.NRAS
+	if err := cfg.Timing.Validate(); err != nil {
+		return nil, err
 	}
 	return &Para{
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		victimCells: make([]int, len(cfg.Probabilities)),
 		fired:       make([]bool, len(cfg.Probabilities)),
+		nras:        cfg.Timing.NRAS(),
 	}, nil
 }
 
@@ -156,21 +152,25 @@ func (p *Para) AppendOnActivate(dst []mitigation.VictimRefresh, row int, now dra
 // seeded batch replay stays byte-identical to a seeded scalar one.
 // A dwell column under Config.Rowpress repeats the draw rounds per ACT
 // (mitigation.RowpressIncrement); each round draws in the scalar order, so
-// an all-minimum-dwell stream consumes the RNG exactly like the legacy
-// path. A repeated draw for a distance that already fired this ACT
-// re-picks the same cell — at most one refresh per distance per ACT, the
-// cells being recycled scratch.
+// a one-round ACT consumes the RNG exactly like AppendOnActivate. A
+// distance fires at most once per ACT: its appended refresh aliases the
+// recycled victim cell, so a later round's hit must not rewrite it (and a
+// double refresh of the same neighborhood buys nothing). The fired marks
+// only get set by an appending ACT, which ends the batch, so they are
+// cleared there.
 func (p *Para) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	probs, rng, nrows := p.cfg.Probabilities, p.rng, p.cfg.Rows
-	rowpress := p.cfg.Rowpress && dwell != nil
+	if !p.cfg.Rowpress {
+		dwell = nil
+	}
+	probs, rng, nrows, fired := p.cfg.Probabilities, p.rng, p.cfg.Rows, p.fired
 	for i, r := range rows {
-		pre := len(dst)
 		row := int(r)
 		draws := int64(1)
-		if rowpress {
-			draws = mitigation.RowpressIncrement(dwell[i], p.cfg.NRAS, p.cfg.RowpressIncrementTicks)
+		if dwell != nil {
+			draws = mitigation.RowpressIncrement(dwell[i], p.nras)
 		}
-		if draws == 1 {
+		pre := len(dst)
+		for ; draws > 0; draws-- {
 			for d, prob := range probs {
 				if prob == 0 || rng.Float64() >= prob {
 					continue
@@ -179,41 +179,17 @@ func (p *Para) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int3
 				if rng.Intn(2) == 0 {
 					victim = row - (d + 1)
 				}
-				if victim < 0 || victim >= nrows {
+				if victim < 0 || victim >= nrows || fired[d] {
 					continue
 				}
+				fired[d] = true
 				p.refreshes++
 				p.victimCells[d] = victim
 				dst = append(dst, mitigation.VictimRefresh{Rows: p.victimCells[d : d+1 : d+1]})
 			}
-		} else {
-			for d := range p.fired {
-				p.fired[d] = false
-			}
-			for ; draws > 0; draws-- {
-				for d, prob := range probs {
-					if prob == 0 || rng.Float64() >= prob {
-						continue
-					}
-					victim := row + (d + 1)
-					if rng.Intn(2) == 0 {
-						victim = row - (d + 1)
-					}
-					// A distance fires at most once per ACT: its appended
-					// refresh aliases the recycled victim cell, so a second
-					// hit must not rewrite it (and a double refresh of the
-					// same neighborhood buys nothing).
-					if victim < 0 || victim >= nrows || p.fired[d] {
-						continue
-					}
-					p.fired[d] = true
-					p.refreshes++
-					p.victimCells[d] = victim
-					dst = append(dst, mitigation.VictimRefresh{Rows: p.victimCells[d : d+1 : d+1]})
-				}
-			}
 		}
 		if len(dst) > pre {
+			clear(fired)
 			return dst, i + 1
 		}
 	}
@@ -224,13 +200,6 @@ func (p *Para) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int3
 // action.
 func (p *Para) AppendTick(dst []mitigation.VictimRefresh, now dram.Time) []mitigation.VictimRefresh {
 	return dst
-}
-
-// Reset implements mitigation.Mitigator: PARA is stateless apart from its
-// RNG, which is reseeded for reproducibility.
-func (p *Para) Reset() {
-	p.rng = rand.New(rand.NewSource(p.cfg.Seed))
-	p.refreshes = 0
 }
 
 // Cost implements mitigation.Mitigator: PARA keeps no tracking state.

@@ -132,32 +132,6 @@ func TestDeterministicBySeed(t *testing.T) {
 	}
 }
 
-func TestResetReseeds(t *testing.T) {
-	eng, err := New(Classic(0.3, 1024, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first []int
-	for i := 0; i < 100; i++ {
-		for _, vr := range eng.AppendOnActivate(nil, 200, 0) {
-			first = append(first, vr.Rows[0])
-		}
-	}
-	eng.Reset()
-	if eng.VictimRefreshes() != 0 {
-		t.Error("Reset did not clear the refresh counter")
-	}
-	var second []int
-	for i := 0; i < 100; i++ {
-		for _, vr := range eng.AppendOnActivate(nil, 200, 0) {
-			second = append(second, vr.Rows[0])
-		}
-	}
-	if len(first) != len(second) {
-		t.Errorf("reset did not reproduce the stream: %d vs %d refreshes", len(first), len(second))
-	}
-}
-
 func TestNameKeepsClassicLabel(t *testing.T) {
 	eng, err := New(Classic(0.00145, 1024, 0))
 	if err != nil {

@@ -129,13 +129,6 @@ func (p *PerRow) AppendTick(dst []mitigation.VictimRefresh, now dram.Time) []mit
 	return dst
 }
 
-// Reset implements mitigation.Mitigator.
-func (p *PerRow) Reset() {
-	clear(p.counts)
-	p.clearPtr = 0
-	p.refreshes = 0
-}
-
 // Cost implements mitigation.Mitigator: one SRAM counter per row — the
 // non-scalable price the paper rejects (§II-C).
 func (p *PerRow) Cost() mitigation.HardwareCost {

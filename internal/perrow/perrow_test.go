@@ -136,17 +136,3 @@ func TestCostIsNotScalable(t *testing.T) {
 		t.Errorf("per-row/Graphene = %.0f×, want  ≫ 100×", ratio)
 	}
 }
-
-func TestResetClears(t *testing.T) {
-	p, err := New(Config{TRH: 50000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		p.AppendOnActivate(nil, 5, 0)
-	}
-	p.Reset()
-	if p.Count(5) != 0 || p.VictimRefreshes() != 0 {
-		t.Error("Reset left state")
-	}
-}

@@ -172,14 +172,6 @@ func (p *PRoHIT) AppendTick(dst []mitigation.VictimRefresh, now dram.Time) []mit
 	return append(dst, mitigation.VictimRefresh{Rows: p.victimCell[:]})
 }
 
-// Reset implements mitigation.Mitigator.
-func (p *PRoHIT) Reset() {
-	p.hot = p.hot[:0]
-	p.cold = p.cold[:0]
-	p.rng = rand.New(rand.NewSource(p.cfg.Seed))
-	p.refreshes = 0
-}
-
 // Cost implements mitigation.Mitigator: two small row-address CAMs.
 func (p *PRoHIT) Cost() mitigation.HardwareCost {
 	entries := p.cfg.HotEntries + p.cfg.ColdEntries

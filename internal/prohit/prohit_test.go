@@ -175,20 +175,6 @@ func TestStarvationOfInfrequentVictims(t *testing.T) {
 	}
 }
 
-func TestResetClears(t *testing.T) {
-	p, err := New(Config{InsertP: 1, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		p.AppendOnActivate(nil, i*3, 0)
-	}
-	p.Reset()
-	if len(p.hot) != 0 || len(p.cold) != 0 || p.VictimRefreshes() != 0 {
-		t.Error("Reset left state")
-	}
-}
-
 func TestCostIsSmallCAM(t *testing.T) {
 	p, err := New(Config{Rows: 64 * 1024})
 	if err != nil {

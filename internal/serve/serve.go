@@ -34,8 +34,7 @@ type Hello struct {
 	Tenant string `json:"tenant"`
 
 	// Scheme selects the per-bank mitigation engine by registry name
-	// (sim.SchemeNames: graphene, twice, cbt, para, prohit, mrloc, cra,
-	// perrow, none). Default "graphene".
+	// (any of sim.SchemeNames). Default "graphene".
 	Scheme string `json:"scheme,omitempty"`
 
 	// TRH is the Row Hammer threshold the scheme is provisioned for.
@@ -65,8 +64,8 @@ type Hello struct {
 	// plain activations.
 	Rowpress bool `json:"rowpress,omitempty"`
 
-	// Seed drives the probabilistic schemes (para, prohit, mrloc). Absent
-	// means 1; an explicit 0 is a legal seed and is used as-is.
+	// Seed drives the probabilistic schemes (para, prohit, mrloc, trr).
+	// Absent means 1; an explicit 0 is a legal seed and is used as-is.
 	Seed *int64 `json:"seed,omitempty"`
 
 	// Oracle arms the ground-truth disturbance oracle at TRH, so the

@@ -193,7 +193,7 @@ func runSession(t testing.TB, addr string, h Hello, data []byte) (Report, error)
 // TestGoldenByteIdentity is the PR's E2E acceptance check: every registry
 // scheme × both golden workloads streamed through a live daemon over TCP
 // must produce a Result byte-identical to the local RunBlocks replay of
-// the same trace bytes — 18 cells, well past the required 8.
+// the same trace bytes — 20 cells, well past the required 8.
 func TestGoldenByteIdentity(t *testing.T) {
 	traces := goldenTraces(t)
 	s := startServer(t, Config{})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"graphene/internal/area"
 	"graphene/internal/cbt"
 	"graphene/internal/cra"
 	"graphene/internal/dram"
@@ -14,6 +15,7 @@ import (
 	"graphene/internal/perrow"
 	"graphene/internal/prohit"
 	"graphene/internal/trace"
+	"graphene/internal/trr"
 	"graphene/internal/twice"
 	"graphene/internal/workload"
 )
@@ -98,7 +100,7 @@ func BuildScheme(name string, trh int64, k, distance, rows int, sc Scale) (mitig
 	case "twice":
 		return twice.Factory(twice.Config{TRH: trh, Distance: distance, Rows: rows, Timing: sc.Timing, Rowpress: sc.Rowpress}), "twice", nil
 	case "cbt":
-		counters, levels := CBTCountersFor(trh)
+		counters, levels := area.CBTCountersFor(trh)
 		return cbt.Factory(cbt.Config{TRH: trh, Counters: counters, Levels: levels, Rows: rows, Timing: sc.Timing, Distance: distance, Rowpress: sc.Rowpress}),
 			fmt.Sprintf("cbt-%d", counters), nil
 	case "para":
@@ -107,6 +109,7 @@ func BuildScheme(name string, trh int64, k, distance, rows int, sc Scale) (mitig
 			return nil, "", err
 		}
 		pcfg := para.Classic(p, rows, sc.Seed)
+		pcfg.Timing = sc.Timing
 		pcfg.Rowpress = sc.Rowpress
 		return para.Factory(pcfg), fmt.Sprintf("para-%.5f", p), nil
 	case "prohit":
@@ -121,6 +124,8 @@ func BuildScheme(name string, trh int64, k, distance, rows int, sc Scale) (mitig
 		return cra.Factory(cra.Config{TRH: trh, Rows: rows, Distance: distance}), "cra", nil
 	case "perrow":
 		return perrow.Factory(perrow.Config{TRH: trh, Rows: rows, Distance: distance, Timing: sc.Timing}), "perrow", nil
+	case "trr":
+		return trr.Factory(trr.Config{Rows: rows, Distance: distance, Seed: sc.Seed}), "trr", nil
 	default:
 		return nil, "", fmt.Errorf("sim: unknown scheme %q (have %v)", name, SchemeNames())
 	}
@@ -128,5 +133,5 @@ func BuildScheme(name string, trh int64, k, distance, rows int, sc Scale) (mitig
 
 // SchemeNames lists the names BuildScheme accepts.
 func SchemeNames() []string {
-	return []string{"graphene", "twice", "cbt", "para", "prohit", "mrloc", "cra", "perrow", "none"}
+	return []string{"graphene", "twice", "cbt", "para", "prohit", "mrloc", "cra", "perrow", "trr", "none"}
 }

@@ -62,7 +62,9 @@ func goldenSchemes(t testing.TB, sc Scale) map[string]mitigation.Factory {
 		},
 	}
 	for _, name := range SchemeNames() {
-		if name == "none" {
+		if _, pinned := out[name]; pinned {
+			// none is the nil factory; trr keeps the engine its golden
+			// files were recorded with.
 			continue
 		}
 		f, _, err := BuildScheme(name, goldenTRH, 2, 1, rows, sc)

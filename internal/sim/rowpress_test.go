@@ -102,8 +102,14 @@ func TestRowPressEndToEnd(t *testing.T) {
 // explicitly must produce byte-identical results to the same trace with the
 // dwell column absent, on every scheme, rowpress on or off — the weighted
 // models all reduce to the legacy per-ACT model at the device minimum.
+//
+// The ddr5/ leg runs the same check on dram.DDR5(), whose nRAS (34.7 ns)
+// exceeds DDR4's 31.7 ns: a scheme that weighed dwell against any nRAS
+// but its device's would count each minimum-dwell ACT twice there. On
+// DDR5, nRAS = tRC − tRP, so the pinned dwell leaves bank occupancy
+// unchanged.
 func TestRowPressDwellEqualsNRASMatchesLegacy(t *testing.T) {
-	timing := dram.Timing{
+	small := dram.Timing{
 		TREFI: 244 * dram.Nanosecond, TRFC: 20 * dram.Nanosecond,
 		TRC: 45 * dram.Nanosecond, TRCD: 13300, TRP: 13300, TCL: 13300,
 		TREFW: 2 * dram.Millisecond, TRAS: 30 * dram.Nanosecond,
@@ -112,58 +118,64 @@ func TestRowPressDwellEqualsNRASMatchesLegacy(t *testing.T) {
 		rows = 8192
 		trh  = 1200
 	)
-	acts := timing.MaxACTs(timing.TREFW)
-
-	base := Scale{
-		Geometry: dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: rows},
-		Timing:   timing,
-		Seed:     1,
+	legs := []struct {
+		prefix string
+		timing dram.Timing
+		acts   int64
+	}{
+		{"", small, small.MaxACTs(small.TREFW)},
+		{"ddr5/", dram.DDR5(), 200_000},
 	}
-	mkTrace := func(dwell dram.Time) func() trace.Generator {
-		return func() trace.Generator {
-			gen := workload.S2(0, rows, 10, 0.2, acts, 7)
+	for _, leg := range legs {
+		timing := leg.timing
+		base := Scale{
+			Geometry: dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: rows},
+			Timing:   timing,
+			Seed:     1,
+		}
+		mkTrace := func(dwell dram.Time) trace.Generator {
+			gen := workload.S2(0, rows, 10, 0.2, leg.acts, 7)
 			return trace.FromFunc(gen.Name(), func() (trace.Access, bool) {
 				a, ok := gen.Next()
 				a.Dwell = dwell
 				return a, ok
 			})
 		}
-	}
-
-	for _, schemeName := range []string{"none", "graphene", "twice", "cbt", "para", "prohit", "mrloc", "cra", "perrow"} {
-		for _, rowpress := range []bool{false, true} {
-			sc := base
-			sc.Rowpress = rowpress
-			t.Run(fmt.Sprintf("%s/rowpress=%v", schemeName, rowpress), func(t *testing.T) {
-				var results [2]memctrl.Result
-				for i, dwell := range []dram.Time{0, timing.NRAS()} {
-					factory, _, err := BuildScheme(schemeName, trh, 2, 1, rows, sc)
-					if err != nil {
-						t.Fatal(err)
+		for _, schemeName := range SchemeNames() {
+			for _, rowpress := range []bool{false, true} {
+				sc := base
+				sc.Rowpress = rowpress
+				t.Run(fmt.Sprintf("%s%s/rowpress=%v", leg.prefix, schemeName, rowpress), func(t *testing.T) {
+					var results [2]memctrl.Result
+					for i, dwell := range []dram.Time{0, timing.NRAS()} {
+						factory, _, err := BuildScheme(schemeName, trh, 2, 1, rows, sc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := memctrl.Run(memctrl.Config{
+							Geometry: sc.Geometry, Timing: timing,
+							Factory: factory, TRH: trh,
+						}, mkTrace(dwell))
+						if err != nil {
+							t.Fatal(err)
+						}
+						results[i] = res
 					}
-					res, err := memctrl.Run(memctrl.Config{
-						Geometry: sc.Geometry, Timing: timing,
-						Factory: factory, TRH: trh,
-					}, mkTrace(dwell)())
-					if err != nil {
-						t.Fatal(err)
+					legacy, pinned := results[0], results[1]
+					if legacy.NRRCommands != pinned.NRRCommands ||
+						legacy.RowsVictim != pinned.RowsVictim ||
+						len(legacy.Flips) != len(pinned.Flips) ||
+						legacy.MaxDisturbance != pinned.MaxDisturbance ||
+						legacy.REFCommands != pinned.REFCommands {
+						t.Errorf("dwell=nRAS diverged from legacy: NRR %d vs %d, victims %d vs %d, flips %d vs %d, maxDist %g vs %g, REF %d vs %d",
+							legacy.NRRCommands, pinned.NRRCommands,
+							legacy.RowsVictim, pinned.RowsVictim,
+							len(legacy.Flips), len(pinned.Flips),
+							legacy.MaxDisturbance, pinned.MaxDisturbance,
+							legacy.REFCommands, pinned.REFCommands)
 					}
-					results[i] = res
-				}
-				legacy, pinned := results[0], results[1]
-				if legacy.NRRCommands != pinned.NRRCommands ||
-					legacy.RowsVictim != pinned.RowsVictim ||
-					len(legacy.Flips) != len(pinned.Flips) ||
-					legacy.MaxDisturbance != pinned.MaxDisturbance ||
-					legacy.REFCommands != pinned.REFCommands {
-					t.Errorf("dwell=nRAS diverged from legacy: NRR %d vs %d, victims %d vs %d, flips %d vs %d, maxDist %g vs %g, REF %d vs %d",
-						legacy.NRRCommands, pinned.NRRCommands,
-						legacy.RowsVictim, pinned.RowsVictim,
-						len(legacy.Flips), len(pinned.Flips),
-						legacy.MaxDisturbance, pinned.MaxDisturbance,
-						legacy.REFCommands, pinned.REFCommands)
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ package sim
 import (
 	"fmt"
 
+	"graphene/internal/area"
 	"graphene/internal/cbt"
 	"graphene/internal/cra"
 	"graphene/internal/dram"
@@ -88,7 +89,7 @@ func ParaP(trh int64) (float64, error) {
 // its near-complete-protection probability.
 func CounterSchemes(trh int64, sc Scale) ([]Spec, error) {
 	rows := sc.Geometry.RowsPerBank
-	counters, levels := CBTCountersFor(trh)
+	counters, levels := area.CBTCountersFor(trh)
 	p, err := ParaP(trh)
 	if err != nil {
 		return nil, err
@@ -99,18 +100,6 @@ func CounterSchemes(trh int64, sc Scale) ([]Spec, error) {
 		{Name: fmt.Sprintf("CBT-%d", counters), Factory: cbt.Factory(cbt.Config{TRH: trh, Counters: counters, Levels: levels, Rows: rows, Timing: sc.Timing})},
 		{Name: fmt.Sprintf("PARA-%.5f", p), Factory: para.Factory(para.Classic(p, rows, sc.Seed))},
 	}, nil
-}
-
-// CBTCountersFor mirrors area.CBTCountersFor without importing it (the two
-// packages stay independent): 128 counters / 10 levels at TRH = 50K,
-// doubling as the threshold halves (§V-C).
-func CBTCountersFor(trh int64) (counters, levels int) {
-	counters, levels = 128, 10
-	for t := int64(50000); t > trh && counters < 1<<20; t /= 2 {
-		counters *= 2
-		levels++
-	}
-	return counters, levels
 }
 
 // ProbabilisticSchemes builds the §V-A security line-up: PARA, PRoHIT and

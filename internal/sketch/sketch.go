@@ -198,13 +198,6 @@ func (c *CMS) reset() {
 	clear(c.lastTrigger)
 }
 
-// Reset implements mitigation.Mitigator.
-func (c *CMS) Reset() {
-	c.reset()
-	c.windowEnd = c.window
-	c.refreshes = 0
-}
-
 // Cost implements mitigation.Mitigator: depth×width SRAM counters wide
 // enough to count to W (no overflow-bit trick applies — entries are not
 // pinned). This is the §VI comparison: several times the bits of

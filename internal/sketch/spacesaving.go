@@ -342,13 +342,6 @@ func (s *SpaceSaving) resetWindow() {
 	clear(s.trigger)
 }
 
-// Reset implements mitigation.Mitigator.
-func (s *SpaceSaving) Reset() {
-	s.resetWindow()
-	s.windowEnd = s.window
-	s.refreshes = 0
-}
-
 // Cost implements mitigation.Mitigator: entries × (address CAM + count up
 // to W). Without Misra-Gries' spillover/pinning structure the overflow-bit
 // compression does not apply, so each count field is full width — the

@@ -168,14 +168,6 @@ func (t *TRR) AppendTick(dst []mitigation.VictimRefresh, now dram.Time) []mitiga
 	return append(dst, mitigation.VictimRefresh{Aggressor: row, Distance: t.cfg.Distance})
 }
 
-// Reset implements mitigation.Mitigator.
-func (t *TRR) Reset() {
-	t.sampler = t.sampler[:0]
-	t.ticks = 0
-	t.refreshes = 0
-	t.rng = rand.New(rand.NewSource(t.cfg.Seed))
-}
-
 // Cost implements mitigation.Mitigator: the sampler is a few CAM entries
 // inside the device.
 func (t *TRR) Cost() mitigation.HardwareCost {

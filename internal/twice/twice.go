@@ -38,18 +38,10 @@ type Config struct {
 	MaxEntries int
 
 	// Rowpress makes the per-row counter duration-aware: an ACT whose
-	// open-row dwell exceeds NRAS adds mitigation.RowpressIncrement(dwell,
-	// NRAS, RowpressIncrementTicks) instead of 1. Off (the default),
-	// dwell columns are ignored.
+	// open-row dwell exceeds the device's nRAS (Timing.NRAS()) adds
+	// mitigation.RowpressIncrement(dwell, nRAS) instead of 1. Off (the
+	// default), dwell columns are ignored.
 	Rowpress bool
-
-	// RowpressIncrementTicks is the open-row time per extra increment;
-	// zero defaults to NRAS.
-	RowpressIncrementTicks dram.Time
-
-	// NRAS is the device's minimum open-row time; zero defaults to
-	// Timing.NRAS().
-	NRAS dram.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -61,12 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Distance == 0 {
 		c.Distance = 1
-	}
-	if c.NRAS == 0 {
-		c.NRAS = c.Timing.NRAS()
-	}
-	if c.RowpressIncrementTicks == 0 {
-		c.RowpressIncrementTicks = c.NRAS
 	}
 	return c
 }
@@ -96,9 +82,6 @@ func (c Config) Derive() (Params, error) {
 	}
 	if err := c.Timing.Validate(); err != nil {
 		return Params{}, err
-	}
-	if c.NRAS < 0 || c.RowpressIncrementTicks < 0 {
-		return Params{}, fmt.Errorf("twice: negative RowPress parameter (NRAS %v, increment ticks %v)", c.NRAS, c.RowpressIncrementTicks)
 	}
 	thRH := c.TRH / 4
 	if thRH < 1 {
@@ -134,6 +117,7 @@ type entry struct {
 type TWiCe struct {
 	cfg    Config
 	params Params
+	nras   dram.Time // the device's minimum open-row time (RowPress unit)
 
 	table map[int]*entry
 
@@ -151,7 +135,7 @@ func New(cfg Config) (*TWiCe, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TWiCe{cfg: cfg, params: p, table: make(map[int]*entry)}, nil
+	return &TWiCe{cfg: cfg, params: p, nras: cfg.Timing.NRAS(), table: make(map[int]*entry)}, nil
 }
 
 // Name implements mitigation.Mitigator.
@@ -203,50 +187,25 @@ func (t *TWiCe) AppendOnActivate(dst []mitigation.VictimRefresh, row int, now dr
 // AppendOnActivateBatch implements mitigation.Mitigator with a fused loop:
 // the table map, thresholds, and capacity load once per run, and the loop
 // stops after the first ACT that issues a refresh (threshold hit or
-// overflow), per the batch contract.
-func (t *TWiCe) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	if t.cfg.Rowpress && dwell != nil {
-		return t.appendBatchRowpress(dst, rows, now, dwell)
-	}
-	table, thRH, maxEntries := t.table, t.params.ThRH, t.params.MaxEntries
-	for i, r := range rows {
-		row := int(r)
-		e, ok := table[row]
-		if !ok {
-			if len(table) >= maxEntries {
-				t.overflows++
-				t.refreshes++
-				return append(dst, mitigation.VictimRefresh{Aggressor: row, Distance: t.cfg.Distance}), i + 1
-			}
-			table[row] = &entry{count: 1}
-			continue
-		}
-		e.count++
-		if e.count >= thRH {
-			e.count = 0
-			e.life = 0
-			t.refreshes++
-			return append(dst, mitigation.VictimRefresh{Aggressor: row, Distance: t.cfg.Distance}), i + 1
-		}
-	}
-	return dst, len(rows)
-}
-
-// appendBatchRowpress is the duration-aware batch path: each ACT's dwell
-// converts to a counter increment (mitigation.RowpressIncrement with the
-// configured NRAS and RowpressIncrementTicks), so a long-open aggressor
-// reaches th_RH in proportionally fewer ACTs — matching how its RowPress
-// disturbance grows. An all-minimum-dwell stream (every increment 1) is
-// byte-identical to the legacy loop, including the quirk that a freshly
-// allocated entry never triggers on its first unit observation; a weighted
-// first observation that already reaches th_RH does trigger, because those
+// overflow), per the batch contract. Under Config.Rowpress a dwell column
+// weighs each ACT by mitigation.RowpressIncrement, so a long-open
+// aggressor reaches th_RH in proportionally fewer ACTs — matching how its
+// RowPress disturbance grows. At increment 1 the loop is exactly
+// AppendOnActivate, including the rule that a freshly allocated entry
+// never triggers on its first unit observation; a weighted first
+// observation that already reaches th_RH does trigger, because those
 // skipped increments would otherwise be charge the guarantee never sees.
-func (t *TWiCe) appendBatchRowpress(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	table, thRH, maxEntries := t.table, t.params.ThRH, t.params.MaxEntries
-	nras, incTicks := t.cfg.NRAS, t.cfg.RowpressIncrementTicks
+func (t *TWiCe) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
+	if !t.cfg.Rowpress {
+		dwell = nil
+	}
+	table, thRH, maxEntries, nras := t.table, t.params.ThRH, t.params.MaxEntries, t.nras
 	for i, r := range rows {
 		row := int(r)
-		inc := mitigation.RowpressIncrement(dwell[i], nras, incTicks)
+		inc := int64(1)
+		if dwell != nil {
+			inc = mitigation.RowpressIncrement(dwell[i], nras)
+		}
 		e, ok := table[row]
 		if !ok {
 			if len(table) >= maxEntries {
@@ -286,14 +245,6 @@ func (t *TWiCe) AppendTick(dst []mitigation.VictimRefresh, now dram.Time) []miti
 		}
 	}
 	return dst
-}
-
-// Reset implements mitigation.Mitigator.
-func (t *TWiCe) Reset() {
-	clear(t.table)
-	t.refreshes = 0
-	t.prunes = 0
-	t.overflows = 0
 }
 
 // Cost implements mitigation.Mitigator: address CAM plus count/life SRAM

@@ -153,10 +153,6 @@ func TestNoFalseNegatives(t *testing.T) {
 		trh  = 2000
 	)
 	timing := smallTiming()
-	tw, err := New(Config{TRH: trh, Timing: timing, Rows: rows})
-	if err != nil {
-		t.Fatal(err)
-	}
 	o, err := hammer.NewOracle(rows, trh, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +170,10 @@ func TestNoFalseNegatives(t *testing.T) {
 		func(i int64) int { return 100 + int(i%7)*3 + int(i%11)*(1<<6) }, // mixed
 	}
 	for si, stream := range streams {
-		tw.Reset()
+		tw, err := New(Config{TRH: trh, Timing: timing, Rows: rows})
+		if err != nil {
+			t.Fatal(err)
+		}
 		o.Reset()
 		nextRef, nextTick, refPtr = 0, timing.TREFI, 0
 		for i := int64(0); i < 300_000; i++ {
@@ -204,19 +203,5 @@ func TestNoFalseNegatives(t *testing.T) {
 		if n := o.FlipCount(); n != 0 {
 			t.Errorf("stream %d: TWiCe allowed %d bit flips", si, n)
 		}
-	}
-}
-
-func TestResetClears(t *testing.T) {
-	tw, err := New(Config{TRH: 50000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		tw.AppendOnActivate(nil, i, 0)
-	}
-	tw.Reset()
-	if tw.Live() != 0 || tw.VictimRefreshes() != 0 || tw.Prunes() != 0 {
-		t.Error("Reset left state behind")
 	}
 }

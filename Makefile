@@ -165,6 +165,7 @@ fuzz:
 	$(GO) test ./internal/graphene -fuzz=FuzzObserveWMatchesUnits -fuzztime=30s -run xxx
 	$(GO) test ./internal/trace -fuzz=FuzzBinaryReader -fuzztime=30s -run xxx
 	$(GO) test ./internal/memctrl -fuzz=FuzzStreamingMatchesBuffered -fuzztime=30s -run xxx
+	$(GO) test ./internal/hammer -fuzz=FuzzOracleRunMatchesDense -fuzztime=30s -run xxx
 	$(GO) test ./internal/mitigation -fuzz=FuzzStackAppend -fuzztime=30s -run xxx
 	$(GO) test ./internal/serve -fuzz=FuzzWireSession -fuzztime=30s -run xxx
 

@@ -105,37 +105,104 @@ func (o *denseOracle) topVictims(n int) []VictimReport {
 	return top
 }
 
+// oracleCases are the differential configurations: every distance from 1
+// to 4 under both μ models, on banks that end mid-chunk, on a chunk
+// boundary, one row past it, and inside the first chunk.
+var oracleCases = []struct {
+	rows, distance int
+	mu             mitigation.MuModel
+}{
+	{3*chunkRows + 17, 1, mitigation.UniformMu},
+	{2 * chunkRows, 2, mitigation.InverseSquareMu},
+	{chunkRows + 1, 3, mitigation.UniformMu},
+	{100, 4, mitigation.InverseSquareMu},
+}
+
 // TestChunkedOracleMatchesDense replays seeded operation sequences through
 // the Oracle and the dense reference: ACTs with dwell weights around rows
 // 0, rows−1 and every chunk edge, at distances 1–4, mixed with RefreshRow,
 // RefreshRowAt (including at the exact tick a victim latched) and Reset.
-// Every returned flip must match, and at checkpoints every row's
-// disturbance, the flip log, MaxDisturbance and TopVictims.
+// The per-act legs issue each ACT through AppendActivateOpen; the run legs
+// issue runs of 1–64 ACTs, with and without a dwell column, through one
+// AppendActivateRun call each, against the reference's ACTs one at a time.
+// Every returned flip must match, in order and with the time of the ACT
+// that latched it, and at checkpoints every row's disturbance, the flip
+// log, MaxDisturbance and TopVictims.
 func TestChunkedOracleMatchesDense(t *testing.T) {
 	const nras = 100
-	for _, tc := range []struct {
-		rows, distance int
-		mu             mitigation.MuModel
-	}{
-		{3*chunkRows + 17, 1, mitigation.UniformMu},
-		{2 * chunkRows, 2, mitigation.InverseSquareMu},
-		{chunkRows + 1, 3, mitigation.UniformMu},
-		{100, 4, mitigation.InverseSquareMu},
-	} {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("rows=%d/dist=%d/seed=%d", tc.rows, tc.distance, seed), func(t *testing.T) {
-				differentialRun(t, tc.rows, tc.distance, tc.mu, nras, seed)
-			})
+	for _, tc := range oracleCases {
+		for _, maxRun := range []int{0, 64} {
+			leg := fmt.Sprintf("rows=%d/dist=%d", tc.rows, tc.distance)
+			if maxRun > 0 {
+				leg += "/run"
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("%s/seed=%d", leg, seed), func(t *testing.T) {
+					st := differentialRun(t, tc.rows, tc.distance, tc.mu, nras, rand.New(rand.NewSource(seed)), 3000, maxRun)
+					if st.flips == 0 || st.atTick == 0 {
+						t.Fatalf("%d flips, %d refreshes at a latch tick: the latch paths went unexercised", st.flips, st.atTick)
+					}
+					if maxRun > 0 && (st.lateFlips == 0 || st.relatchable == 0) {
+						t.Fatalf("%d flips past a run's first ACT, %d re-disturbed in their run: the in-run latch went unexercised", st.lateFlips, st.relatchable)
+					}
+				})
+			}
 		}
 	}
 }
 
-func differentialRun(t *testing.T, rows, distance int, mu mitigation.MuModel, nras dram.Time, seed int64) {
+// FuzzOracleRunMatchesDense is the run legs of TestChunkedOracleMatchesDense
+// driven by the fuzzer's bytes: the first picks the configuration, the rest
+// choose runs, rows, dwells, times, refreshes and resets.
+func FuzzOracleRunMatchesDense(f *testing.F) {
+	f.Add([]byte{0, 0, 63, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add([]byte{1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 99, 0, 1})
+	f.Add([]byte{2, 79, 5, 0, 0, 0, 0, 0, 0, 85, 0, 1, 92, 3})
+	f.Add([]byte{3, 0, 31, 1, 1, 0, 2, 2, 0, 3, 3, 99, 0, 0, 40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		tc := oracleCases[int(data[0])%len(oracleCases)]
+		differentialRun(t, tc.rows, tc.distance, tc.mu, 100, &byteChooser{data: data[1:]}, len(data), 64)
+	})
+}
+
+// chooser makes a differential run's choices: a seeded *rand.Rand, or the
+// fuzzer's bytes.
+type chooser interface{ Intn(n int) int }
+
+// byteChooser answers each choice with the next byte modulo n, and 0 once
+// the bytes run out.
+type byteChooser struct{ data []byte }
+
+func (b *byteChooser) Intn(n int) int {
+	if len(b.data) == 0 {
+		return 0
+	}
+	v := int(b.data[0]) % n
+	b.data = b.data[1:]
+	return v
+}
+
+// diffStats counts how much of the latch logic a differential run reached.
+type diffStats struct {
+	flips, atTick int
+	// lateFlips counts flips latched past a run's first ACT; relatchable
+	// counts flipped victims a later ACT of the same run disturbed again.
+	lateFlips, relatchable int
+}
+
+// differentialRun replays steps operations chosen by ch through the Oracle
+// and the dense reference. With maxRun 0 each ACT step is one
+// AppendActivateOpen call; otherwise it is a run of 1 to maxRun ACTs in one
+// AppendActivateRun call.
+func differentialRun(t *testing.T, rows, distance int, mu mitigation.MuModel, nras dram.Time, ch chooser, steps, maxRun int) diffStats {
+	t.Helper()
 	const trh = 24
 	o := mustOracle(t, rows, trh, distance, mu)
 	o.SetNRAS(nras)
 	ref := newDenseOracle(rows, trh, distance, mu, nras)
-	rng := rand.New(rand.NewSource(seed))
 
 	// Hot rows: both bank edges and both sides of every chunk boundary.
 	hot := []int{0, rows - 1}
@@ -143,14 +210,14 @@ func differentialRun(t *testing.T, rows, distance int, mu mitigation.MuModel, nr
 		hot = append(hot, b-1, b)
 	}
 	pick := func() int {
-		r := hot[rng.Intn(len(hot))] + rng.Intn(2*distance+3) - distance - 1
+		r := hot[ch.Intn(len(hot))] + ch.Intn(2*distance+3) - distance - 1
 		return min(max(r, 0), rows-1)
 	}
 	dwells := []dram.Time{0, 0, nras, nras / 2, 3 * nras, 7 * nras / 4}
 
 	var now dram.Time
 	var latched []Flip // flips recorded since the last Reset
-	flips, atTick := 0, 0
+	var st diffStats
 	check := func(step int) {
 		t.Helper()
 		for r := 0; r < rows; r++ {
@@ -173,13 +240,13 @@ func differentialRun(t *testing.T, rows, distance int, mu mitigation.MuModel, nr
 		}
 	}
 
-	for step := 0; step < 3000; step++ {
-		if rng.Intn(3) == 0 {
-			now += dram.Time(rng.Intn(3))
+	for step := 0; step < steps; step++ {
+		if ch.Intn(3) == 0 {
+			now += dram.Time(ch.Intn(3))
 		}
-		switch p := rng.Intn(100); {
-		case p < 80:
-			row, dwell := pick(), dwells[rng.Intn(len(dwells))]
+		switch p := ch.Intn(100); {
+		case p < 80 && maxRun == 0:
+			row, dwell := pick(), dwells[ch.Intn(len(dwells))]
 			got := o.AppendActivateOpen(nil, row, now, dwell)
 			want := ref.activate(row, now, dwell)
 			if len(got) != 0 || len(want) != 0 {
@@ -188,13 +255,22 @@ func differentialRun(t *testing.T, rows, distance int, mu mitigation.MuModel, nr
 				}
 			}
 			latched = append(latched, got...)
-			flips += len(got)
+			st.flips += len(got)
+		case p < 80:
+			got, want := activateRun(o, ref, ch, pick, dwells, &now, maxRun, &st)
+			if len(got) != 0 || len(want) != 0 {
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: run returned flips %v, want %v", step, got, want)
+				}
+			}
+			latched = append(latched, got...)
+			st.flips += len(got)
 		case p < 90 && len(latched) > 0:
 			// Refresh a victim at the tick it latched, or one tick later.
-			f := latched[rng.Intn(len(latched))]
-			at := f.At + dram.Time(rng.Intn(2))
+			f := latched[ch.Intn(len(latched))]
+			at := f.At + dram.Time(ch.Intn(2))
 			if at == f.At {
-				atTick++
+				st.atTick++
 			}
 			o.RefreshRowAt(f.Victim, at)
 			ref.refreshAt(f.Victim, at, true)
@@ -215,10 +291,59 @@ func differentialRun(t *testing.T, rows, distance int, mu mitigation.MuModel, nr
 			check(step)
 		}
 	}
-	check(3000)
-	if flips == 0 || atTick == 0 {
-		t.Fatalf("%d flips, %d refreshes at a latch tick: the latch paths went unexercised", flips, atTick)
+	check(steps)
+	return st
+}
+
+// activateRun builds one run of 1 to maxRun ACTs — rows picked anew, one
+// row hammered, or two alternating; times advancing by 0 or 1 per ACT; a
+// dwell column or none — and replays it through o in one AppendActivateRun
+// call and through ref one ACT at a time, returning both flip lists.
+func activateRun(o *Oracle, ref *denseOracle, ch chooser, pick func() int, dwells []dram.Time, now *dram.Time, maxRun int, st *diffStats) (got, want []Flip) {
+	n := 1 + ch.Intn(maxRun)
+	rows, at := make([]int32, n), make([]dram.Time, n)
+	var dw []dram.Time
+	if ch.Intn(2) == 0 {
+		dw = make([]dram.Time, n)
 	}
+	pattern, a, b := ch.Intn(3), pick(), pick()
+	for k := range rows {
+		row := a
+		switch {
+		case pattern == 0:
+			row = pick()
+		case pattern == 2 && k%2 == 1:
+			row = b
+		}
+		if k > 0 {
+			*now += dram.Time(ch.Intn(2))
+		}
+		rows[k], at[k] = int32(row), *now
+		if dw != nil {
+			dw[k] = dwells[ch.Intn(len(dwells))]
+		}
+	}
+	got = o.AppendActivateRun(nil, rows, at, dw)
+	for k, r := range rows {
+		var dwell dram.Time
+		if dw != nil {
+			dwell = dw[k]
+		}
+		flips := ref.activate(int(r), at[k], dwell)
+		for _, f := range flips {
+			if k > 0 {
+				st.lateFlips++
+			}
+			for _, later := range rows[k+1:] {
+				if d := int(later) - f.Victim; d != 0 && d >= -len(ref.mu) && d <= len(ref.mu) {
+					st.relatchable++
+					break
+				}
+			}
+		}
+		want = append(want, flips...)
+	}
+	return got, want
 }
 
 // TestAutoRefreshWindowAllocatesNoChunks pins the sparse-state contract:

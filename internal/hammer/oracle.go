@@ -75,10 +75,15 @@ type chunk struct {
 }
 
 // NewOracle builds an oracle for a bank with the given row count, Row
-// Hammer threshold, disturbance reach, and μ model (nil = UniformMu).
+// Hammer threshold, disturbance reach, and μ model (nil = UniformMu). A
+// bank has at most 2³¹ rows, so AppendActivateRun's int32 row column
+// addresses all of them.
 func NewOracle(rows int, trh int64, distance int, mu mitigation.MuModel) (*Oracle, error) {
 	if rows <= 0 {
 		return nil, fmt.Errorf("hammer: rows must be positive, got %d", rows)
+	}
+	if rows > math.MaxInt32+1 {
+		return nil, fmt.Errorf("hammer: %d rows exceeds the int32 row limit %d", rows, math.MaxInt32+1)
 	}
 	if trh <= 0 {
 		return nil, fmt.Errorf("hammer: TRH must be positive, got %d", trh)
@@ -134,43 +139,134 @@ func (o *Oracle) AppendActivate(dst []Flip, row int, now dram.Time) []Flip {
 // increment scales by dwell/nRAS. Dwell 0 means the device minimum and
 // always weighs exactly 1, as does every dwell when no nRAS has been
 // configured — so legacy streams are bit-identical through either entry
-// point.
+// point. It is AppendActivateRun over a run of one.
 func (o *Oracle) AppendActivateOpen(dst []Flip, row int, now, dwell dram.Time) []Flip {
 	if row < 0 || row >= o.rows {
 		panic(fmt.Sprintf("hammer: activate row %d out of range [0,%d)", row, o.rows))
 	}
-	if dwell < 0 {
-		panic(fmt.Sprintf("hammer: negative dwell %v", dwell))
+	// NewOracle caps rows at 2³¹, so the int32 conversion is exact. A
+	// dwell-0 ACT goes without a dwell column, as dwell-free runs do.
+	rows, at := [1]int32{int32(row)}, [1]dram.Time{now}
+	if dwell == 0 {
+		return o.AppendActivateRun(dst, rows[:], at[:], nil)
 	}
-	weight := 1.0
-	if dwell != 0 && o.nras > 0 {
-		weight = float64(dwell) / float64(o.nras)
+	dwells := [1]dram.Time{dwell}
+	return o.AppendActivateRun(dst, rows[:], at[:], dwells[:])
+}
+
+// AppendActivateRun records a run of ACTs in order — rows[k] activated at
+// at[k], holding its row open for dwells[k] (a nil dwells column is dwell
+// 0 throughout) — and appends the victims that flip to dst, each stamped
+// with the time of the ACT that latched it. Every accumulator, flip and
+// latch ends exactly as len(rows) AppendActivateOpen calls would leave
+// them: per ACT the same weight, the same increments in the same order
+// (nearer victims first, row−d before row+d).
+func (o *Oracle) AppendActivateRun(dst []Flip, rows []int32, at, dwells []dram.Time) []Flip {
+	if len(at) != len(rows) || (dwells != nil && len(dwells) != len(rows)) {
+		panic(fmt.Sprintf("hammer: run of %d rows with %d times and %d dwells", len(rows), len(at), len(dwells)))
 	}
-	o.acts++
-	for d := 1; d <= o.distance; d++ {
-		for _, v := range [2]int{row - d, row + d} {
-			if v < 0 || v >= o.rows {
-				continue
+	for _, dw := range dwells {
+		if dw < 0 {
+			panic(fmt.Sprintf("hammer: negative dwell %v", dw))
+		}
+	}
+	nrows, trh, nras, chunks := o.rows, o.trh, o.nras, o.chunks
+	if o.distance == 1 {
+		// The common ±1 model: both victims inline, no inner loop.
+		mu1 := o.mu[0]
+		for k, r := range rows {
+			row := int(r)
+			if uint(row) >= uint(nrows) {
+				panic(fmt.Sprintf("hammer: activate row %d out of range [0,%d)", row, nrows))
 			}
-			c := &o.chunks[v>>chunkShift]
-			if c.disturb == nil {
-				o.alloc(v >> chunkShift)
+			inc := mu1
+			if dwells != nil {
+				inc = mu1 * dwellWeight(dwells[k], nras)
 			}
-			i := v & (chunkRows - 1)
-			c.disturb[i] += o.mu[d-1] * weight
-			if c.disturb[i] >= o.trh && c.latched[i>>6]&(1<<(i&63)) == 0 {
-				c.latched[i>>6] |= 1 << (i & 63)
-				if o.flipAt == nil {
-					o.flipAt = make(map[int]dram.Time)
+			if v := row - 1; v >= 0 {
+				c := &chunks[v>>chunkShift]
+				if c.disturb == nil {
+					o.alloc(v >> chunkShift)
 				}
-				o.flipAt[v] = now
-				f := Flip{Victim: v, At: now, Disturbance: c.disturb[i]}
-				o.flips = append(o.flips, f)
-				dst = append(dst, f)
+				i := v & (chunkRows - 1)
+				x := c.disturb[i] + inc
+				c.disturb[i] = x
+				if x >= trh && c.latched[i>>6]&(1<<(i&63)) == 0 {
+					dst = o.latch(dst, c, v, at[k])
+				}
+			}
+			if v := row + 1; v < nrows {
+				c := &chunks[v>>chunkShift]
+				if c.disturb == nil {
+					o.alloc(v >> chunkShift)
+				}
+				i := v & (chunkRows - 1)
+				x := c.disturb[i] + inc
+				c.disturb[i] = x
+				if x >= trh && c.latched[i>>6]&(1<<(i&63)) == 0 {
+					dst = o.latch(dst, c, v, at[k])
+				}
+			}
+		}
+		o.acts += int64(len(rows))
+		return dst
+	}
+	mu := o.mu
+	for k, r := range rows {
+		row := int(r)
+		if uint(row) >= uint(nrows) {
+			panic(fmt.Sprintf("hammer: activate row %d out of range [0,%d)", row, nrows))
+		}
+		weight := 1.0
+		if dwells != nil {
+			weight = dwellWeight(dwells[k], nras)
+		}
+		for d, m := range mu {
+			inc := m * weight
+			for _, v := range [2]int{row - d - 1, row + d + 1} {
+				if v < 0 || v >= nrows {
+					continue
+				}
+				c := &chunks[v>>chunkShift]
+				if c.disturb == nil {
+					o.alloc(v >> chunkShift)
+				}
+				i := v & (chunkRows - 1)
+				x := c.disturb[i] + inc
+				c.disturb[i] = x
+				if x >= trh && c.latched[i>>6]&(1<<(i&63)) == 0 {
+					dst = o.latch(dst, c, v, at[k])
+				}
 			}
 		}
 	}
+	o.acts += int64(len(rows))
 	return dst
+}
+
+// dwellWeight is an ACT's increment multiplier: dwell/nRAS, or exactly 1
+// for dwell 0 or an unset nRAS. The dwell is non-negative (AppendActivateRun
+// checks its column up front).
+func dwellWeight(dwell, nras dram.Time) float64 {
+	if dwell != 0 && nras > 0 {
+		return float64(dwell) / float64(nras)
+	}
+	return 1
+}
+
+// latch records victim v, in chunk c, flipping at now: it sets the row's
+// latch bit and flip tick and appends the flip to the log and to dst. The
+// caller has checked that v reached TRH and was not latched yet.
+func (o *Oracle) latch(dst []Flip, c *chunk, v int, now dram.Time) []Flip {
+	i := v & (chunkRows - 1)
+	c.latched[i>>6] |= 1 << (i & 63)
+	if o.flipAt == nil {
+		o.flipAt = make(map[int]dram.Time)
+	}
+	o.flipAt[v] = now
+	f := Flip{Victim: v, At: now, Disturbance: c.disturb[i]}
+	o.flips = append(o.flips, f)
+	return append(dst, f)
 }
 
 // alloc gives chunk ci its arrays, sized to the rows the bank has from the

@@ -1,6 +1,7 @@
 package hammer
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,10 @@ func mustOracle(t *testing.T, rows int, trh int64, dist int, mu mitigation.MuMod
 func TestNewOracleRejectsBadArgs(t *testing.T) {
 	if _, err := NewOracle(0, 100, 1, nil); err == nil {
 		t.Error("accepted 0 rows")
+	}
+	// One row past what AppendActivateRun's int32 column can address.
+	if _, err := NewOracle(math.MaxInt32+2, 100, 1, nil); err == nil {
+		t.Error("accepted 2³¹+1 rows")
 	}
 	if _, err := NewOracle(16, 0, 1, nil); err == nil {
 		t.Error("accepted TRH 0")

@@ -29,11 +29,12 @@ const maxBatchRun = 4096
 //     extra DRAM traffic (the batch contract: an applied refresh or a
 //     charged transfer changes the bank timeline, so later precomputed
 //     times would go stale);
-//  3. feeds the consumed prefix to the oracle, accounts the bank's ACT
-//     run in one ActivateRun call, issues the RFM command when the prefix
-//     ended on the RAAIMT-th ACT, applies any refreshes at the resulting
-//     completion time, and charges the scheme's extra DRAM traffic —
-//     exactly when the scalar path would have.
+//  3. feeds the consumed prefix to the oracle in one AppendActivateRun
+//     call (translated to physical rows first under a remapper), accounts
+//     the bank's ACT run in one ActivateRun call, issues the RFM command
+//     when the prefix ended on the RAAIMT-th ACT, applies any refreshes at
+//     the resulting completion time, and charges the scheme's extra DRAM
+//     traffic — exactly when the scalar path would have.
 //
 // The RAA counter moves only with the ACT count, so the RFM horizon is
 // known before the walk starts (dram.Bank.ACTsToRFM) and needs no second
@@ -52,10 +53,10 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 	// With no mitigator, oracle, or remap, nothing consumes per-ACT start
 	// times, so the horizon walk collapses to the bare occupancy recurrence
 	// with no scratch writes — the trigger-light floor the bench-replay gate
-	// asserts on. Rows were range-validated upstream by replayBlock,
-	// matching the protected path, which also defers the range check to
-	// its oracle/remap loop.
-	// A dwell column disqualifies the collapse: per-ACT occupancy varies.
+	// asserts on. Both paths rely on replayBlock's upstream range check of
+	// the logical rows; only a remapper's physical rows are checked here
+	// (physRun). A dwell column disqualifies the collapse: per-ACT
+	// occupancy varies.
 	pureTiming := s.mit == nil && s.oracle == nil && s.remap == nil && dwells == nil
 	for i < n {
 		if pureTiming {
@@ -206,23 +207,23 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 			}
 		}
 
-		if s.oracle != nil || s.remap != nil {
-			nrows := s.bank.Rows()
-			for k := 0; k < consumed; k++ {
-				physRow := s.phys(int(rows[i+k]))
-				if physRow < 0 || physRow >= nrows {
-					return fmt.Errorf("memctrl: bank %d: activate row %d out of range [0,%d)", bi, physRow, nrows)
-				}
-				if s.oracle != nil {
-					var dw dram.Time
-					if dwells != nil {
-						dw = dwells[i+k]
-					}
-					s.flipStage = s.oracle.AppendActivateOpen(s.flipStage[:0], physRow, times[k], dw)
-					for _, f := range s.flipStage {
-						out.flips = append(out.flips, BankFlip{Bank: bi, Flip: f})
-					}
-				}
+		// The oracle lives in physical space; with a remapper the prefix is
+		// translated (and range-checked) into a column first.
+		phys := rows[i : i+consumed]
+		if s.remap != nil {
+			var err error
+			if phys, err = s.physRun(phys, bi); err != nil {
+				return err
+			}
+		}
+		if s.oracle != nil {
+			var dcol []dram.Time
+			if dwells != nil {
+				dcol = dwells[i : i+consumed]
+			}
+			s.flipStage = s.oracle.AppendActivateRun(s.flipStage[:0], phys, times[:consumed], dcol)
+			for _, f := range s.flipStage {
+				out.flips = append(out.flips, BankFlip{Bank: bi, Flip: f})
 			}
 		}
 
@@ -257,4 +258,21 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 		i += consumed
 	}
 	return nil
+}
+
+// physRun translates a run of logical rows through the remapper into the
+// recycled physScratch column. A remapper that maps a row outside the bank
+// fails the replay, as the scalar path's activation does.
+func (s *bankState) physRun(rows []int32, bi int) ([]int32, error) {
+	nrows := s.bank.Rows()
+	phys := s.physScratch[:0]
+	for _, r := range rows {
+		p := s.remap.ToPhysical(int(r))
+		if p < 0 || p >= nrows {
+			return nil, fmt.Errorf("memctrl: bank %d: activate row %d out of range [0,%d)", bi, p, nrows)
+		}
+		phys = append(phys, int32(p))
+	}
+	s.physScratch = phys
+	return phys, nil
 }

@@ -98,8 +98,9 @@ func BenchmarkReplayEngine(b *testing.B) {
 		b.Run(side.name+"-ddr5-trigger-light", func(b *testing.B) {
 			benchmarkReplayRun(b, dram.DDR5(), nil, false, side.scalar, false)
 		})
-		// Oracle-armed unprotected replay: per-ACT disturbance accounting
-		// is shared by both paths and bounds the achievable speedup.
+		// Oracle-armed unprotected replay: the batch side hands each
+		// consumed run to the oracle in one AppendActivateRun call, the
+		// scalar side makes one AppendActivateOpen call per ACT.
 		b.Run(side.name+"-oracle", func(b *testing.B) {
 			benchmarkReplayRun(b, timing, nil, true, side.scalar, false)
 		})

@@ -8,15 +8,17 @@ import (
 	"graphene/internal/dram"
 	"graphene/internal/graphene"
 	"graphene/internal/mitigation"
+	"graphene/internal/remap"
 	"graphene/internal/trace"
 	"graphene/internal/trr"
 )
 
 // TestReplayBatchZeroAlloc is TestReplayHotPathZeroAlloc for the block
 // replay the router runs on every bank: after warmup, replayBlock — row
-// validation, horizon slicing, mitigator batch, oracle prefix,
-// ActivateRun, refresh apply — performs no heap allocation at all (the
-// AllocsPerRun acceptance floor of the batched replay engine).
+// validation, horizon slicing, mitigator batch, remap translation, oracle
+// prefix, ActivateRun, refresh apply — performs no heap allocation at all
+// (the AllocsPerRun acceptance floor of the batched replay engine). Every
+// leg arms the oracle (hotState).
 func TestReplayBatchZeroAlloc(t *testing.T) {
 	timing, ddr5 := dram.DDR4(), dram.DDR5()
 	cases := []struct {
@@ -25,31 +27,43 @@ func TestReplayBatchZeroAlloc(t *testing.T) {
 		factory    mitigation.Factory
 		hammerPair bool
 		dwell      dram.Time
+		remapped   bool
 	}{
-		{"unprotected", timing, nil, false, 0},
-		{"graphene-quiet", timing, graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}), false, 0},
-		{"graphene-trigger-heavy", timing, graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: timing}), true, 0},
+		{"unprotected", timing, nil, false, 0, false},
+		{"graphene-quiet", timing, graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}), false, 0, false},
+		{"graphene-trigger-heavy", timing, graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: timing}), true, 0, false},
+		// Remapped: every consumed prefix is translated into the recycled
+		// physical-row column before the oracle's run call, and every NRR
+		// resolves its aggressor through the remapper.
+		{"graphene-trigger-heavy-remapped", timing, graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: timing}), true, 0, true},
 		{"stack-quiet", timing, mitigation.StackFactory(
 			trr.Factory(trr.Config{Rows: hotRows, Seed: 7}),
 			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}),
-		), false, 0},
+		), false, 0, false},
 		// Dwell-column legs: the per-ACT ActCycle horizon walk and the
 		// rowpress weighted-observe path must stay allocation-free too.
-		{"unprotected-dwell", timing, nil, false, timing.NRAS()},
+		{"unprotected-dwell", timing, nil, false, timing.NRAS(), false},
 		{"graphene-rowpress-dwell", timing,
 			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing, Rowpress: true}),
-			false, 3 * timing.NRAS()},
+			false, 3 * timing.NRAS(), false},
 		// DDR5 legs: runs capped at the RFM horizon and the RFM issued
 		// between a run and its refreshes, with and without dwell, where
 		// RowPress hits take ObserveW's closed form.
-		{"graphene-trigger-heavy-ddr5", ddr5, graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: ddr5}), true, 0},
+		{"graphene-trigger-heavy-ddr5", ddr5, graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: ddr5}), true, 0, false},
 		{"graphene-rowpress-ddr5-dwell", ddr5,
 			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: ddr5, Rowpress: true}),
-			true, 8 * ddr5.NRAS()},
+			true, 8 * ddr5.NRAS(), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := hotState(t, tc.timing, tc.factory)
+			if tc.remapped {
+				perm, err := remap.Permutation(hotRows, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.remap = perm
+			}
 			var out bankOut
 			cfg := Config{Geometry: oneBank(hotRows)}
 			const blockLen = 512

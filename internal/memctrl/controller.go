@@ -174,12 +174,15 @@ type bankState struct {
 
 	// Recycled scratch buffers (API v2, DESIGN.md §9): the steady-state
 	// replay loop hands vrScratch to the mitigator's Append methods,
-	// flipStage to the oracle, and remapScratch to the explicit-row remap
-	// translation, so after warmup no per-ACT heap allocation remains
-	// (TestReplayHotPathZeroAlloc pins this with testing.AllocsPerRun).
+	// flipStage to the oracle, remapScratch to the explicit-row remap
+	// translation, and physScratch to the remapped run the batch core
+	// hands the oracle, so after warmup no per-ACT heap allocation remains
+	// (TestReplayHotPathZeroAlloc and TestReplayBatchZeroAlloc pin this
+	// with testing.AllocsPerRun).
 	vrScratch    []mitigation.VictimRefresh
 	flipStage    []hammer.Flip
 	remapScratch []int
+	physScratch  []int32
 
 	// runTimes holds the precomputed ACT start times of the current
 	// event-horizon run (batch.go, DESIGN.md §11); lastRun is how many
@@ -268,8 +271,8 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 		return Result{}, err
 	}
 
-	// Rows replay as int32 columns, and a bigger bank would try to allocate
-	// 16 GiB of refresh timestamps in dram.NewBank before replay starts.
+	// Rows replay as int32 columns — decoded blocks, the batch core's runs
+	// and the oracle's — which address at most trace.MaxRow+1 rows.
 	if cfg.Geometry.RowsPerBank > trace.MaxRow+1 {
 		return Result{}, fmt.Errorf("memctrl: %d rows per bank exceeds limit %d", cfg.Geometry.RowsPerBank, trace.MaxRow+1)
 	}

@@ -185,9 +185,9 @@ func TestRunRejectsOutOfRangeAccesses(t *testing.T) {
 }
 
 // TestRunRejectsOversizedBank: a bank with more rows than the int32 row
-// columns address fails Run and RunBlocks up front. The factory, which
-// run() calls right after building each bank, must never be reached:
-// building the bank alone means a 16 GiB timestamp array.
+// columns address fails Run and RunBlocks up front, before run() builds
+// any bank: the factory, which it calls right after building each bank,
+// must never be reached.
 func TestRunRejectsOversizedBank(t *testing.T) {
 	cfg := Config{
 		Geometry: oneBank(trace.MaxRow + 2), Timing: smallTiming(),

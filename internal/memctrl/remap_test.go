@@ -1,9 +1,12 @@
 package memctrl
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"graphene/internal/cbt"
+	"graphene/internal/dram"
 	"graphene/internal/graphene"
 	"graphene/internal/remap"
 	"graphene/internal/trace"
@@ -118,5 +121,48 @@ func TestXORRemapPreservesAccounting(t *testing.T) {
 	if plain.RowsVictim != mapped.RowsVictim || plain.NRRCommands != mapped.NRRCommands {
 		t.Errorf("remap changed refresh counts: %d/%d vs %d/%d",
 			plain.NRRCommands, plain.RowsVictim, mapped.NRRCommands, mapped.RowsVictim)
+	}
+}
+
+// badRemap is a remapper with a bug: it sends logical row bad one past the
+// bank's last row.
+type badRemap struct{ rows, bad int }
+
+func (b badRemap) Name() string        { return "bad" }
+func (b badRemap) Rows() int           { return b.rows }
+func (b badRemap) ToLogical(p int) int { return p }
+func (b badRemap) ToPhysical(r int) int {
+	if r == b.bad {
+		return b.rows
+	}
+	return r
+}
+
+// TestRemapOutOfRangeRowFailsReplay: a physical row outside the bank fails
+// the replay with the activation's range error, whether the batch core
+// translates the run for the oracle or only for the check (no oracle), with
+// or without a scheme, and on the per-ACT reference path alike.
+func TestRemapOutOfRangeRowFailsReplay(t *testing.T) {
+	const rows = 64
+	timing := smallTiming()
+	accs := make([]trace.Access, 200)
+	for i := range accs {
+		accs[i] = trace.Access{Bank: 0, Row: i % rows, Gap: 50 * dram.Nanosecond}
+	}
+	const want = "activate row 64 out of range [0,64)"
+	for _, trh := range []int64{0, 1000} {
+		for _, scheme := range []bool{false, true} {
+			cfg := Config{Geometry: oneBank(rows), Timing: timing, TRH: trh, Remap: badRemap{rows: rows, bad: 7}}
+			if scheme {
+				cfg.Factory = graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: rows, Timing: timing})
+			}
+			name := fmt.Sprintf("trh=%d/scheme=%v", trh, scheme)
+			if _, err := Run(cfg, trace.FromSlice("bad", accs)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: Run err = %v, want %q", name, err, want)
+			}
+			if _, err := runBuffered(cfg, trace.FromSlice("bad", accs)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: runBuffered err = %v, want %q", name, err, want)
+			}
+		}
 	}
 }

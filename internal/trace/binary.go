@@ -550,10 +550,7 @@ func (br *BlockReader) nextSegment() error {
 	if n > maxSegmentBytes {
 		return binErrf("segment of %d bytes exceeds limit %d", n, maxSegmentBytes)
 	}
-	if cap(br.payload) < int(n) {
-		br.payload = make([]byte, n)
-	}
-	br.payload = br.payload[:n]
+	br.payload = resize(br.payload, int(n))
 	if _, err := io.ReadFull(br.src, br.payload); err != nil {
 		return binErrf("truncated segment: %w", noEOF(err))
 	}
@@ -618,6 +615,17 @@ func (br *BlockReader) blockHead() (bank, count int, err error) {
 	return bank, int(count64), nil
 }
 
+// resize returns s at length n, reusing its array when it has room. A new
+// array gets an eighth more capacity than asked for: replay recycles
+// decode buffers across blocks and segments whose lengths differ by a few
+// percent, and an exact fit would regrow on the next slightly longer one.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/8)
+	}
+	return s[:n]
+}
+
 // blockDone records a fully decoded block in the segment accounting.
 func (br *BlockReader) blockDone(bank, count int) {
 	br.segBlocks = append(br.segBlocks, segBlock{bank: bank, count: int64(count)})
@@ -680,18 +688,8 @@ func (br *BlockReader) decodeBlockCols(buf ColBlock) (ColBlock, error) {
 	if err != nil {
 		return ColBlock{}, err
 	}
-	rows := buf.Rows[:0]
-	if cap(rows) < count {
-		rows = make([]int32, count)
-	} else {
-		rows = rows[:count]
-	}
-	gaps := buf.Gaps[:0]
-	if cap(gaps) < count {
-		gaps = make([]dram.Time, count)
-	} else {
-		gaps = gaps[:count]
-	}
+	rows := resize(buf.Rows, count)
+	gaps := resize(buf.Gaps, count)
 	// The column loops below are the decoder's per-access hot path — the
 	// throughput `make bench-trace` gates — so the varints decode inline
 	// with a single-byte fast path (most deltas are small) instead of
@@ -759,11 +757,7 @@ func (br *BlockReader) decodeBlockCols(buf ColBlock) (ColBlock, error) {
 	br.prevGap[bank] = prev
 	dwells := buf.Dwells[:0]
 	if br.segHasDwell {
-		if cap(dwells) < count {
-			dwells = make([]dram.Time, count)
-		} else {
-			dwells = dwells[:count]
-		}
+		dwells = resize(dwells, count)
 		prev = br.prevDwell[bank]
 		for i := range dwells {
 			if off >= len(p) {

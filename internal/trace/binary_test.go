@@ -267,6 +267,58 @@ func TestNextColsMatchesNext(t *testing.T) {
 	}
 }
 
+// TestNextColsPoolBuffersDoNotRegrow: replay recycles decode buffers
+// through a FIFO pool shared by every bank (memctrl's block router holds
+// banks × (blockDepth+1) + 1 of them), so one buffer carries blocks of
+// different banks and segments, whose lengths on a uniform trace differ
+// by a few dozen ACTs. One pass over a 16-bank uniform trace through a
+// 49-buffer pool must grow no column of a buffer after that buffer's first
+// use, and the segment payload no more than once.
+func TestNextColsPoolBuffersDoNotRegrow(t *testing.T) {
+	const banks, segments = 16, 12
+	rng := rand.New(rand.NewSource(1))
+	accs := make([]Access, segments*segmentAccs)
+	for i := range accs {
+		accs[i] = Access{Bank: rng.Intn(banks), Row: rng.Intn(1 << 16), Gap: 50 * dram.Nanosecond}
+	}
+	br, err := NewBlockReader(bytes.NewReader(encodeBinary(t, "uniform", accs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each buffer goes back to the end of the FIFO right after its block,
+	// so the pool hands them out round robin.
+	pool := make([]ColBlock, banks*3+1)
+	blocks, regrown, payloadGrowths, payloadCap := 0, 0, 0, 0
+	for ; ; blocks++ {
+		b := blocks % len(pool)
+		buf := pool[b]
+		blk, err := br.NextCols(buf)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blocks >= len(pool) && (cap(blk.Rows) != cap(buf.Rows) || cap(blk.Gaps) != cap(buf.Gaps)) {
+			regrown++
+		}
+		pool[b] = ColBlock{Rows: blk.Rows[:0], Gaps: blk.Gaps[:0], Dwells: blk.Dwells[:0]}
+		if c := cap(br.payload); c != payloadCap {
+			payloadGrowths++
+			payloadCap = c
+		}
+	}
+	if blocks != banks*segments {
+		t.Fatalf("decoded %d blocks, want %d", blocks, banks*segments)
+	}
+	if regrown != 0 {
+		t.Errorf("%d of %d block decodes regrew a recycled buffer, want 0", regrown, blocks)
+	}
+	if payloadGrowths > 1 {
+		t.Errorf("segment payload grew %d times over %d segments, want once", payloadGrowths, segments)
+	}
+}
+
 func TestBinaryRejectsTornTail(t *testing.T) {
 	accs := mixedTrace(segmentAccs+500, 3, 5) // two segments
 	data := encodeBinary(t, "torn", accs)

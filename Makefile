@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve fuzz race stress tables security examples check
+.PHONY: all fmt build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve fuzz fuzz-list race stress tables security examples check
 
 all: check
 
@@ -164,10 +164,24 @@ fuzz:
 	$(GO) test ./internal/graphene -fuzz=FuzzBatchAppend -fuzztime=30s -run xxx
 	$(GO) test ./internal/graphene -fuzz=FuzzObserveWMatchesUnits -fuzztime=30s -run xxx
 	$(GO) test ./internal/trace -fuzz=FuzzBinaryReader -fuzztime=30s -run xxx
+	$(GO) test ./internal/trace -fuzz=FuzzReadFrom -fuzztime=30s -run xxx
+	$(GO) test ./internal/trace -fuzz=FuzzWriteName -fuzztime=30s -run xxx
 	$(GO) test ./internal/memctrl -fuzz=FuzzStreamingMatchesBuffered -fuzztime=30s -run xxx
 	$(GO) test ./internal/hammer -fuzz=FuzzOracleRunMatchesDense -fuzztime=30s -run xxx
 	$(GO) test ./internal/mitigation -fuzz=FuzzStackAppend -fuzztime=30s -run xxx
 	$(GO) test ./internal/serve -fuzz=FuzzWireSession -fuzztime=30s -run xxx
+
+# Fuzz-target guard: every `func Fuzz…` in a tracked test file must have a
+# line in the fuzz recipe above (same package directory, same name), so a
+# new target cannot silently stay out of `make fuzz`. Prints what is missing.
+fuzz-list:
+	@have="$$($(MAKE) -s --no-print-directory -n fuzz | sed -n 's|.* test \([^ ]*\) -fuzz=\([A-Za-z0-9_]*\) .*|\1 \2|p')"; \
+	missing=$$(git ls-files '*_test.go' | while read -r f; do \
+		grep -o '^func Fuzz[A-Za-z0-9_]*' "$$f" | sed "s|^func |./$$(dirname "$$f") |"; \
+	done | while read -r want; do \
+		printf '%s\n' "$$have" | grep -qxF "$$want" || echo "$$want"; \
+	done); \
+	if [ -n "$$missing" ]; then echo "make fuzz does not run:"; echo "$$missing"; exit 1; fi
 
 tables:
 	$(GO) run ./cmd/rhtables -all
@@ -183,4 +197,4 @@ examples:
 	$(GO) run ./examples/pagepolicy
 	$(GO) run ./examples/observability
 
-check: fmt build vet test race stress bench-sweep bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve
+check: fmt fuzz-list build vet test race stress bench-sweep bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve

@@ -143,7 +143,7 @@ func fig8Cells(b *testing.B, sc sim.Scale) []sim.Row {
 			profiles = append(profiles, p)
 		}
 	}
-	rows, err := sim.SweepProfiles(sc, 50000, profiles, schemes)
+	rows, err := sim.SweepProfilesOpts(sc, 50000, profiles, schemes, sim.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func BenchmarkFig8b_AdversarialEnergy(b *testing.B) {
 	var rows []sim.Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = sim.AdversarialSweep(sc, 50000)
+		rows, err = sim.AdversarialSweepOpts(sc, 50000, sim.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func BenchmarkFig9b_EnergyScalingNormal(b *testing.B) {
 	var rows []sim.ScalingRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = sim.ScalingNormal(sc, []int64{50000, 12500})
+		rows, err = sim.ScalingNormalOpts(sc, []int64{50000, 12500}, sim.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func BenchmarkFig9c_EnergyScalingAdversarial(b *testing.B) {
 	var rows []sim.ScalingRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = sim.ScalingAdversarial(sc, []int64{50000, 12500})
+		rows, err = sim.ScalingAdversarialOpts(sc, []int64{50000, 12500}, sim.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func BenchmarkFig9d_PerfScaling(b *testing.B) {
 	var rows []sim.ScalingRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = sim.ScalingNormal(sc, []int64{50000, 12500})
+		rows, err = sim.ScalingNormalOpts(sc, []int64{50000, 12500}, sim.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

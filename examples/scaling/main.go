@@ -55,7 +55,7 @@ func main() {
 	fmt.Println("(single bank, 0.2 refresh windows per point — shapes, not absolutes)")
 	sc := sim.Quick()
 	sc.AdversarialWindows = 0.2
-	rows, err := sim.ScalingAdversarial(sc, []int64{50000, 12500, 3125})
+	rows, err := sim.ScalingAdversarialOpts(sc, []int64{50000, 12500, 3125}, sim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

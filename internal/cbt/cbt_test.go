@@ -251,7 +251,7 @@ func TestNoFalseNegatives(t *testing.T) {
 				}
 			}
 		}
-		if n := o.FlipCount(); n != 0 {
+		if n := len(o.Flips()); n != 0 {
 			t.Errorf("stream %d: CBT allowed %d flips", si, n)
 		}
 	}

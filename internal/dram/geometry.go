@@ -26,40 +26,3 @@ func (g Geometry) Validate() error {
 
 // Banks returns the total number of banks in the system.
 func (g Geometry) Banks() int { return g.Channels * g.RanksPerChan * g.BanksPerRank }
-
-// Ranks returns the total number of ranks in the system.
-func (g Geometry) Ranks() int { return g.Channels * g.RanksPerChan }
-
-// RowAddrBits returns the number of bits needed to name a row within a bank
-// (16 for the default 64K-row bank; §IV-B "Reducing Table Bit-width").
-func (g Geometry) RowAddrBits() int {
-	bits := 0
-	for n := g.RowsPerBank - 1; n > 0; n >>= 1 {
-		bits++
-	}
-	if bits == 0 {
-		bits = 1
-	}
-	return bits
-}
-
-// BankID names one bank in the system.
-type BankID struct {
-	Channel int
-	Rank    int
-	Bank    int
-}
-
-// Flat returns a dense index for the bank in [0, g.Banks()).
-func (b BankID) Flat(g Geometry) int {
-	return (b.Channel*g.RanksPerChan+b.Rank)*g.BanksPerRank + b.Bank
-}
-
-// BankFromFlat is the inverse of BankID.Flat.
-func BankFromFlat(g Geometry, flat int) BankID {
-	bank := flat % g.BanksPerRank
-	flat /= g.BanksPerRank
-	rank := flat % g.RanksPerChan
-	chann := flat / g.RanksPerChan
-	return BankID{Channel: chann, Rank: rank, Bank: bank}
-}

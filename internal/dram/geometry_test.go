@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestDefaultGeometryMatchesTableIII(t *testing.T) {
 	g := Default()
@@ -13,29 +10,8 @@ func TestDefaultGeometryMatchesTableIII(t *testing.T) {
 	if got := g.Banks(); got != 64 {
 		t.Errorf("Banks = %d, want 64 (4 ranks × 16 banks, §V-A)", got)
 	}
-	if got := g.Ranks(); got != 4 {
-		t.Errorf("Ranks = %d, want 4", got)
-	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
-	}
-}
-
-func TestRowAddrBits(t *testing.T) {
-	cases := []struct {
-		rows, want int
-	}{
-		{64 * 1024, 16}, // §IV-B: 64K rows need 16 bits
-		{65537, 17},
-		{2, 1},
-		{1, 1},
-	}
-	for _, tc := range cases {
-		g := Default()
-		g.RowsPerBank = tc.rows
-		if got := g.RowAddrBits(); got != tc.want {
-			t.Errorf("RowAddrBits(%d rows) = %d, want %d", tc.rows, got, tc.want)
-		}
 	}
 }
 
@@ -50,35 +26,5 @@ func TestGeometryValidateRejectsBadDims(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", g)
 		}
-	}
-}
-
-func TestBankFlatRoundTrip(t *testing.T) {
-	g := Default()
-	for flat := 0; flat < g.Banks(); flat++ {
-		id := BankFromFlat(g, flat)
-		if got := id.Flat(g); got != flat {
-			t.Fatalf("round trip %d -> %+v -> %d", flat, id, got)
-		}
-	}
-}
-
-func TestBankFlatRoundTripProperty(t *testing.T) {
-	f := func(ch, rk, bk uint8) bool {
-		g := Geometry{
-			Channels:     int(ch%7) + 1,
-			RanksPerChan: int(rk%3) + 1,
-			BanksPerRank: int(bk%31) + 1,
-			RowsPerBank:  1024,
-		}
-		for flat := 0; flat < g.Banks(); flat++ {
-			if BankFromFlat(g, flat).Flat(g) != flat {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

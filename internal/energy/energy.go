@@ -8,11 +8,7 @@
 // Table V and the example tools) and provides that relative accounting.
 package energy
 
-import (
-	"fmt"
-
-	"graphene/internal/dram"
-)
+import "fmt"
 
 // Nanojoule-denominated constants from Table V (Micron DDR4 power
 // calculator values for the DRAM side, TSMC 40nm synthesis for Graphene).
@@ -53,18 +49,6 @@ type Accounting struct {
 	ACTs              int64 // activations (for table dynamic energy)
 	Windows           float64
 	RowsPerBank       int
-}
-
-// FromBankStats builds an Accounting from device counters plus the elapsed
-// number of refresh windows.
-func FromBankStats(s dram.BankStats, rowsPerBank int, elapsed dram.Time, t dram.Timing) Accounting {
-	return Accounting{
-		RowsAutoRefreshed: s.RowsAutoRefresh,
-		RowsVictim:        s.RowsNRR,
-		ACTs:              s.ACTs,
-		Windows:           float64(elapsed) / float64(t.TREFW),
-		RowsPerBank:       rowsPerBank,
-	}
 }
 
 // RefreshOverhead returns the relative increase in refresh energy caused by

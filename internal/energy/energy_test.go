@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"graphene/internal/dram"
 )
 
 func TestTableVConstants(t *testing.T) {
@@ -66,18 +64,6 @@ func TestGrapheneTableEnergyIsNegligible(t *testing.T) {
 	}
 	if ratio := table / RefreshPerBankPerTREFW; ratio > 0.01 {
 		t.Errorf("table/refresh energy = %g, want < 1%%", ratio)
-	}
-}
-
-func TestFromBankStats(t *testing.T) {
-	st := dram.BankStats{RowsAutoRefresh: 1000, RowsNRR: 10, ACTs: 5000}
-	tm := dram.DDR4()
-	a := FromBankStats(st, 64*1024, tm.TREFW*2, tm)
-	if a.RowsAutoRefreshed != 1000 || a.RowsVictim != 10 || a.ACTs != 5000 {
-		t.Errorf("FromBankStats = %+v", a)
-	}
-	if math.Abs(a.Windows-2) > 1e-9 {
-		t.Errorf("Windows = %g, want 2", a.Windows)
 	}
 }
 

@@ -53,8 +53,8 @@ const (
 	// blocks a generator run flushes at its end.
 	SitePartition = "memctrl.partition"
 
-	// SiteReplay fires in a memctrl bank job each time it drains a block,
-	// before replaying it.
+	// SiteReplay fires in a memctrl bank goroutine each time it drains a
+	// block, before replaying it.
 	SiteReplay = "memctrl.replay"
 
 	// SiteTraceRead fires per Read of a Reader-wrapped trace source.

@@ -338,9 +338,6 @@ func (o *Oracle) MaxDisturbance() (row int, d float64) {
 // Flips returns every flip recorded so far.
 func (o *Oracle) Flips() []Flip { return o.flips }
 
-// FlipCount returns the number of recorded flips.
-func (o *Oracle) FlipCount() int { return len(o.flips) }
-
 // Reset clears all accumulators and the flip log. Allocated chunks stay,
 // zeroed, for the rows the next pass is likely to disturb again.
 func (o *Oracle) Reset() {

@@ -74,7 +74,7 @@ func TestDoubleSidedHalvesPerAggressorBudget(t *testing.T) {
 	if o.Disturbance(10) != 100 {
 		t.Errorf("victim disturbance = %g, want 100", o.Disturbance(10))
 	}
-	if o.FlipCount() == 0 {
+	if len(o.Flips()) == 0 {
 		t.Error("double-sided hammering with TRH/2 per side did not flip")
 	}
 }
@@ -91,8 +91,8 @@ func TestRefreshClearsDisturbance(t *testing.T) {
 			t.Fatalf("flip after refresh at ACT %d", i)
 		}
 	}
-	if o.FlipCount() != 0 {
-		t.Errorf("flips = %d, want 0", o.FlipCount())
+	if len(o.Flips()) != 0 {
+		t.Errorf("flips = %d, want 0", len(o.Flips()))
 	}
 }
 
@@ -138,8 +138,8 @@ func TestEdgeRowsHaveOneNeighbor(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		o.AppendActivate(nil, 0, 0)
 	}
-	if o.FlipCount() != 1 {
-		t.Errorf("edge aggressor flipped %d victims, want 1 (row 1)", o.FlipCount())
+	if len(o.Flips()) != 1 {
+		t.Errorf("edge aggressor flipped %d victims, want 1 (row 1)", len(o.Flips()))
 	}
 	if o.Flips()[0].Victim != 1 {
 		t.Errorf("victim = %d, want 1", o.Flips()[0].Victim)
@@ -164,8 +164,8 @@ func TestResetClearsEverything(t *testing.T) {
 		o.AppendActivate(nil, 8, 0)
 	}
 	o.Reset()
-	if o.FlipCount() != 0 || o.ACTs() != 0 {
-		t.Errorf("Reset left flips %d acts %d", o.FlipCount(), o.ACTs())
+	if len(o.Flips()) != 0 || o.ACTs() != 0 {
+		t.Errorf("Reset left flips %d acts %d", len(o.Flips()), o.ACTs())
 	}
 	if _, d := o.MaxDisturbance(); d != 0 {
 		t.Errorf("Reset left disturbance %g", d)
@@ -273,8 +273,8 @@ func TestRefreshAtFlipTickNoDoubleReport(t *testing.T) {
 	// Residual same-tick activity must not re-report row 7 (and row 9 is
 	// still latched from the first episode): no new flips at all.
 	flips = o.AppendActivateOpen(nil, 8, tick, 250)
-	if len(flips) != 0 || o.FlipCount() != 2 {
-		t.Errorf("refresh at flip tick double-reported: new %v, FlipCount %d (want 0, 2)", flips, o.FlipCount())
+	if len(flips) != 0 || len(o.Flips()) != 2 {
+		t.Errorf("refresh at flip tick double-reported: new %v, flips %d (want 0, 2)", flips, len(o.Flips()))
 	}
 	// A refresh strictly after the flip tick releases the latch.
 	o.RefreshRowAt(7, tick+1)

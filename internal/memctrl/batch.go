@@ -198,6 +198,9 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 				return fmt.Errorf("memctrl: bank %d: scheme %q batch consumed %d of %d ACTs", bi, s.mit.Name(), nc, consumed)
 			}
 			consumed = nc
+			if s.obs != nil {
+				s.obs.report(vrs, consumed, times[consumed-1])
+			}
 		}
 		s.lastRun = consumed
 		end := times[consumed-1] + trc

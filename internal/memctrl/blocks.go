@@ -1,14 +1,13 @@
 package memctrl
 
 import (
-	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"graphene/internal/dram"
 	"graphene/internal/faultinject"
 	"graphene/internal/obs"
-	"graphene/internal/sched"
 	"graphene/internal/trace"
 )
 
@@ -31,9 +30,9 @@ type BlockSource interface {
 
 // RunBlocks replays a pre-partitioned block stream to completion under
 // cfg. It is Run for the binary trace format: the router hands each
-// decoded block straight to its bank's replay goroutine on the sched pool,
-// and decoded row/gap columns feed the batched replay core directly, with
-// no per-access structs materialized anywhere between the codec and the
+// decoded block straight to its bank's replay goroutine, and decoded
+// row/gap columns feed the batched replay core directly, with no
+// per-access structs materialized anywhere between the codec and the
 // mitigator (batch.go). Per-bank access order is the block stream's order,
 // so the Result is byte-identical to Run over the same trace (the golden
 // differential suite pins this for every recorded scheme×workload cell).
@@ -43,18 +42,18 @@ func RunBlocks(cfg Config, src BlockSource) (Result, error) {
 	})
 }
 
-// replayBlocks routes src's blocks into per-bank channels drained by one
-// sched job per bank. It is the only ingest route: Run hands it a
-// generator adapter (stream.go), RunBlocks a decoder. Block buffers
-// recycle through a shared free pool: the router decodes into a recycled
-// buffer, the bank job returns it after replay, so steady-state allocation
-// is O(banks × blockDepth) buffers regardless of trace length.
+// replayBlocks routes src's blocks into per-bank channels, each drained by
+// its own bank goroutine. It is the only ingest route: Run hands it a
+// generator adapter (stream.go), RunBlocks a decoder. The router runs on
+// the calling goroutine. Block buffers recycle through a shared free pool:
+// the router decodes into a recycled buffer, the bank goroutine returns it
+// after replay, so steady-state allocation is O(banks × blockDepth)
+// buffers regardless of trace length.
 //
-// Error discipline: a bank job stores its first error in its bankOut and
-// keeps draining (never failing the pool, which would strand the router
-// mid-send), and a router error — decode failure, out-of-range access,
-// injected partition fault — fails the run even if every started bank
-// replayed cleanly.
+// Error discipline: a bank goroutine stores its first error in its bankOut
+// and keeps draining (so the router is never stranded mid-send), and a
+// router error — decode failure, out-of-range access, injected partition
+// fault — fails the run even if every started bank replayed cleanly.
 func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, error) {
 	nbanks := len(states)
 	outs := make([]bankOut, nbanks)
@@ -79,84 +78,73 @@ func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, 
 		return <-free
 	}
 
+	// Every bank gets a drainer, so the router cannot deadlock on a send.
 	chans := make([]chan trace.ColBlock, nbanks)
-	jobs := make([]sched.Job, nbanks)
+	var wg sync.WaitGroup
 	for bi := range states {
 		chans[bi] = make(chan trace.ColBlock, blockDepth)
-		bi := bi
-		jobs[bi] = sched.Job{
-			Label: fmt.Sprintf("bank %d", bi),
-			Do: func(context.Context) error {
-				s, out := states[bi], &outs[bi]
-				for blk := range chans[bi] {
-					if out.err == nil {
-						out.err = replayBlock(cfg, nbanks, s, bi, out, blk)
-					}
-					// Recycle even after an error: the router may be blocked
-					// waiting for a free buffer. The free channel holds the
-					// whole budget, so this send never blocks.
-					free <- trace.ColBlock{Rows: blk.Rows[:0], Gaps: blk.Gaps[:0], Dwells: blk.Dwells[:0]}
+		wg.Add(1)
+		go func(bi int) {
+			defer wg.Done()
+			s, out := states[bi], &outs[bi]
+			for blk := range chans[bi] {
+				if out.err == nil {
+					out.err = replayBlock(cfg, nbanks, s, bi, out, blk)
 				}
-				// Errors live in outs: failing the pool would cancel sibling
-				// jobs and strand the router mid-send.
-				return nil
-			},
-		}
+				// Recycle even after an error: the router may be blocked
+				// waiting for a free buffer. The free channel holds the
+				// whole budget, so this send never blocks.
+				free <- trace.ColBlock{Rows: blk.Rows[:0], Gaps: blk.Gaps[:0], Dwells: blk.Dwells[:0]}
+			}
+		}(bi)
 	}
 
-	routed := make(chan error, 1)
-	go func() {
-		routed <- func() error {
-			defer func() {
-				for _, c := range chans {
-					close(c)
-				}
-			}()
-			for {
-				blk, err := src.NextCols(buffer())
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				if blk.Bank < 0 || blk.Bank >= nbanks {
-					// Route the whole block through the shared validator so
-					// the failure emits the same validate_fail event an
-					// out-of-range access does on the buffered path.
-					row := 0
-					if len(blk.Rows) > 0 {
-						row = int(blk.Rows[0])
-					}
-					return validateAccess(cfg, nbanks, trace.Access{Bank: blk.Bank, Row: row})
-				}
-				if err := cfg.Fault.Hit(faultinject.SitePartition); err != nil {
-					return err
-				}
-				chans[blk.Bank] <- blk
+	err := func() error {
+		// Closing on every exit, a panicking source included, lets the
+		// bank goroutines drain and return.
+		defer func() {
+			for _, c := range chans {
+				close(c)
 			}
 		}()
+		for {
+			blk, err := src.NextCols(buffer())
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if blk.Bank < 0 || blk.Bank >= nbanks {
+				// Route the whole block through the shared validator so the
+				// failure emits the same validate_fail event an out-of-range
+				// access does on the buffered path.
+				row := 0
+				if len(blk.Rows) > 0 {
+					row = int(blk.Rows[0])
+				}
+				return validateAccess(cfg, nbanks, trace.Access{Bank: blk.Bank, Row: row})
+			}
+			if err := cfg.Fault.Hit(faultinject.SitePartition); err != nil {
+				return err
+			}
+			chans[blk.Bank] <- blk
+		}
 	}()
-
-	// Every job gets a worker (Jobs = nbanks = len(jobs)), so each bank's
-	// channel is guaranteed a drainer and the router cannot deadlock.
-	if err := sched.Run(sched.Options{Jobs: nbanks}, jobs); err != nil {
-		<-routed
-		return nil, err
-	}
-	if err := <-routed; err != nil {
+	wg.Wait()
+	if err != nil {
 		return nil, err
 	}
 	return outs, nil
 }
 
 // replayBlock validates and replays one block on its bank. Validation
-// rides with the bank job — the same checks and validate_fail events as
-// the buffered path — so the router stays on its decode hot path. A panic
-// anywhere in the replay (a buggy scheme, or an injected fault) is
+// rides with the bank goroutine — the same checks and validate_fail events
+// as the buffered path — so the router stays on its decode hot path. A
+// panic anywhere in the replay (a buggy scheme, or an injected fault) is
 // recovered into the bank's error instead of crashing the process: the
-// job keeps draining and recycling blocks, so the router never deadlocks
-// behind a dead consumer.
+// goroutine keeps draining and recycling blocks, so the router never
+// deadlocks behind a dead consumer.
 func replayBlock(cfg Config, nbanks int, s *bankState, bi int, out *bankOut, blk trace.ColBlock) (err error) {
 	// Range-check inline: validateAccess copies Config, so it only builds
 	// the error.
@@ -183,15 +171,11 @@ func replayBlock(cfg Config, nbanks int, s *bankState, bi int, out *bankOut, blk
 	if err := s.replayRun(blk.Rows, blk.Gaps, dwells, bi, out); err != nil {
 		return err
 	}
-	if cfg.Obs != nil {
+	if s.obs != nil {
 		// One progress event per block: coarse enough to stay off the
 		// per-ACT path, fine enough that a stuck sweep is visible mid-run.
-		scheme := "none"
-		if s.mit != nil {
-			scheme = s.mit.Name()
-		}
-		cfg.Obs.Emit(obs.Event{
-			Kind: obs.KindReplayChunk, Scheme: scheme,
+		s.obs.rec.Emit(obs.Event{
+			Kind: obs.KindReplayChunk, Scheme: s.obs.scheme,
 			Bank: bi, Time: int64(s.now), Value: out.acts,
 		})
 	}

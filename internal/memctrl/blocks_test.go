@@ -112,8 +112,8 @@ func TestBlockStructRouterMatchesBuffered(t *testing.T) {
 
 // TestBlockDirectErrorBehaviorMatchesBuffered: accesses that fit the trace
 // codec's limits but not the configured geometry must fail RunBlocks with
-// exactly the buffered path's error text, whether the bank job (row out of
-// range) or the router (bank out of range) catches them.
+// exactly the buffered path's error text, whether the bank goroutine (row
+// out of range) or the router (bank out of range) catches them.
 func TestBlockDirectErrorBehaviorMatchesBuffered(t *testing.T) {
 	cfg := Config{Geometry: oneBank(64), Timing: smallTiming()}
 	bad := []struct {

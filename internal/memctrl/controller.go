@@ -47,21 +47,22 @@ type Config struct {
 	// (§II-C, §IV-A).
 	Remap remap.Remapper
 
-	// Obs, when non-nil, enables the observability layer: every bank's
-	// mitigator is wrapped with the shared mitigation.Instrument hooks
-	// (NRR events and counters), engines that implement
-	// obs.Instrumentable additionally report scheme-internal events, and
-	// the replay emits per-bank progress and validate-failure events.
-	// The nil default costs one nil check per emission point (DESIGN.md
-	// §7) and leaves Results byte-identical.
+	// Obs, when non-nil, enables the observability layer: the controller
+	// reports every victim refresh it applies for a bank's mitigator (nrr
+	// events and the counters matching Result's totals), engines that
+	// implement obs.Instrumentable additionally report scheme-internal
+	// events, and the replay emits per-bank progress and validate-failure
+	// events. The nil default costs one nil check per mitigator call and
+	// per block, never per ACT (DESIGN.md §7), and leaves Results
+	// byte-identical.
 	Obs *obs.Recorder
 
 	// Fault, when non-nil, arms the replay's fault-injection points
 	// (DESIGN.md §8): faultinject.SitePartition in the block router at
 	// every routed block — on Run and RunBlocks alike, including a
 	// generator run's final partial blocks — and faultinject.SiteReplay in
-	// each bank job at every block drain. Nil (the default) costs one nil
-	// check per block, never per ACT.
+	// each bank goroutine at every block drain. Nil (the default) costs one
+	// nil check per block, never per ACT.
 	Fault *faultinject.Injector
 }
 
@@ -171,6 +172,10 @@ type bankState struct {
 	lastExtra int64
 
 	remap remap.Remapper // nil = identity
+
+	// obs reports the bank's mitigator calls and replay progress; nil
+	// when Config.Obs is.
+	obs *bankObs
 
 	// Recycled scratch buffers (API v2, DESIGN.md §9): the steady-state
 	// replay loop hands vrScratch to the mitigator's Append methods,
@@ -293,20 +298,12 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			// The optional extra-traffic counter is read off the bare
-			// engine, so the instrumentation wrapper below never changes
-			// which schemes get charged for counter traffic.
 			if x, ok := m.(interface{ ExtraDRAMAccesses() int64 }); ok {
 				s.extraFn = x.ExtraDRAMAccesses
 			}
 			s.mit = m
-			if cfg.Obs != nil {
-				if ir, ok := m.(obs.Instrumentable); ok {
-					ir.SetRecorder(cfg.Obs, i)
-				}
-				s.mit = mitigation.Instrument(m, cfg.Obs, i, cfg.Geometry.RowsPerBank)
-			}
 		}
+		s.obs = newBankObs(cfg.Obs, i, cfg.Geometry.RowsPerBank, s.mit)
 		if cfg.TRH > 0 {
 			if s.oracle, err = hammer.NewOracle(cfg.Geometry.RowsPerBank, cfg.TRH, cfg.OracleDistance, cfg.Mu); err != nil {
 				return Result{}, err
@@ -442,6 +439,9 @@ func (s *bankState) replayOne(a trace.Access, bi int, out *bankOut) error {
 		} else {
 			s.vrScratch = s.mit.AppendOnActivate(s.vrScratch[:0], a.Row, start)
 		}
+		if s.obs != nil {
+			s.obs.report(s.vrScratch, 1, start)
+		}
 		if err := s.apply(s.vrScratch, done); err != nil {
 			return err
 		}
@@ -498,6 +498,9 @@ func (s *bankState) catchUpREF() error {
 		}
 		if s.mit != nil {
 			s.vrScratch = s.mit.AppendTick(s.vrScratch[:0], s.nextREF)
+			if s.obs != nil {
+				s.obs.report(s.vrScratch, 0, s.nextREF)
+			}
 			if err := s.apply(s.vrScratch, done); err != nil {
 				return err
 			}

@@ -30,9 +30,10 @@ func (v VictimRefresh) Explicit() bool { return v.Rows != nil }
 
 // RowCount returns how many rows the refresh touches inside a bank with the
 // given number of rows (edge rows have fewer neighbors). It runs once per
-// victim command on the replay hot path (Instrumented.report, memctrl's
-// refresh accounting), so the neighbor count is closed-form: the left reach
-// is clipped at row 0, the right reach at the last row.
+// victim command on the replay hot path (memctrl's nrr reporting when
+// observability is on, CBT's refresh accounting), so the neighbor count is
+// closed-form: the left reach is clipped at row 0, the right reach at the
+// last row.
 func (v VictimRefresh) RowCount(bankRows int) int {
 	if v.Explicit() {
 		return len(v.Rows)

@@ -41,9 +41,6 @@ func (s *Stack) Name() string {
 	return strings.Join(names, "+")
 }
 
-// Layers returns the composed mitigators, outermost first.
-func (s *Stack) Layers() []Mitigator { return append([]Mitigator(nil), s.layers...) }
-
 // AppendOnActivate implements Mitigator: every layer appends into the same
 // caller buffer in layer order — no per-layer slice, no concatenation.
 func (s *Stack) AppendOnActivate(dst []VictimRefresh, row int, now dram.Time) []VictimRefresh {

@@ -55,9 +55,6 @@ func TestStackFansOutAndMerges(t *testing.T) {
 	if c.CAMBits != 10 || c.SRAMBits != 20 || c.Entries != 2 {
 		t.Errorf("Cost = %+v", c)
 	}
-	if got := len(s.Layers()); got != 2 {
-		t.Errorf("Layers = %d", got)
-	}
 }
 
 func TestNewStackRejectsBadLayers(t *testing.T) {

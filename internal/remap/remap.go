@@ -28,22 +28,6 @@ type Remapper interface {
 	ToLogical(physical int) int
 }
 
-// identity maps every row to itself.
-type identity struct{ rows int }
-
-// Identity returns the trivial mapping.
-func Identity(rows int) (Remapper, error) {
-	if rows <= 0 {
-		return nil, fmt.Errorf("remap: rows must be positive, got %d", rows)
-	}
-	return identity{rows: rows}, nil
-}
-
-func (i identity) Name() string         { return "identity" }
-func (i identity) Rows() int            { return i.rows }
-func (i identity) ToPhysical(l int) int { return l }
-func (i identity) ToLogical(p int) int  { return p }
-
 // xorFold XORs a mask into the row address — a common, cheap scrambling.
 type xorFold struct {
 	rows int

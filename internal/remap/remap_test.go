@@ -5,21 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestIdentity(t *testing.T) {
-	m, err := Identity(128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 128; r++ {
-		if m.ToPhysical(r) != r || m.ToLogical(r) != r {
-			t.Fatalf("identity moved row %d", r)
-		}
-	}
-	if _, err := Identity(0); err == nil {
-		t.Error("accepted 0 rows")
-	}
-}
-
 func TestXORBijection(t *testing.T) {
 	m, err := XOR(256, 0x5A)
 	if err != nil {
@@ -119,10 +104,9 @@ func TestQuickRoundTrip(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	id, _ := Identity(8)
 	x, _ := XOR(8, 5)
 	p, _ := Permutation(8, 2)
-	if id.Name() != "identity" || x.Name() != "xor-0x5" || p.Name() != "perm-2" {
-		t.Errorf("names: %q %q %q", id.Name(), x.Name(), p.Name())
+	if x.Name() != "xor-0x5" || p.Name() != "perm-2" {
+		t.Errorf("names: %q %q", x.Name(), p.Name())
 	}
 }

@@ -132,14 +132,14 @@ func Fig7(w io.Writer) error {
 // patterns (Fig. 8(a)–(c)).
 func Fig8(w io.Writer, sc sim.Scale, trh int64) error {
 	fmt.Fprintf(w, "Fig. 8(a)+(c): refresh-energy overhead and performance loss, normal workloads (TRH %d)\n", trh)
-	normal, err := sim.NormalSweep(sc, trh)
+	normal, err := sim.NormalSweepOpts(sc, trh, sim.Options{})
 	if err != nil {
 		return err
 	}
 	printRows(w, normal, true)
 
 	fmt.Fprintf(w, "\nFig. 8(b): refresh-energy overhead, adversarial patterns (single bank)\n")
-	adv, err := sim.AdversarialSweep(sc, trh)
+	adv, err := sim.AdversarialSweepOpts(sc, trh, sim.Options{})
 	if err != nil {
 		return err
 	}
@@ -173,14 +173,14 @@ func Fig9(w io.Writer, sc sim.Scale, trhs []int64) error {
 	}
 
 	fmt.Fprintln(w, "\nFig. 9(b)+(d): average refresh-energy overhead / performance loss, normal workloads")
-	norm, err := sim.ScalingNormal(sc, trhs)
+	norm, err := sim.ScalingNormalOpts(sc, trhs, sim.Options{})
 	if err != nil {
 		return err
 	}
 	printScaling(w, norm, true)
 
 	fmt.Fprintln(w, "\nFig. 9(c): average refresh-energy overhead, adversarial patterns")
-	adv, err := sim.ScalingAdversarial(sc, trhs)
+	adv, err := sim.ScalingAdversarialOpts(sc, trhs, sim.Options{})
 	if err != nil {
 		return err
 	}

@@ -84,7 +84,7 @@ func (s *Server) prepareResume(h Hello) (Hello, *restoreState, error) {
 	if version == 0 {
 		version = 1
 	}
-	st := &restoreState{data: trace.AppendBinaryHeaderVersion(nil, meta.Name, meta.Banks, meta.Total, version)}
+	st := &restoreState{data: trace.AppendBinaryHeader(nil, meta.Name, meta.Banks, meta.Total, version)}
 	for i := 0; ; i++ {
 		var c resumeChunk
 		if !s.cfg.Checkpoint.Lookup(resumeChunkKey(h.Tenant, h.Resume.Session, i), &c) {

@@ -39,7 +39,7 @@ func segmentCuts(t testing.TB, data []byte) []int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := len(trace.AppendBinaryHeader(nil, br.Name(), br.Banks(), br.Total()))
+	off := len(trace.AppendBinaryHeader(nil, br.Name(), br.Banks(), br.Total(), br.Version()))
 	var cuts []int
 	br.OnSegment = func(p []byte) error {
 		off += len(binary.AppendUvarint(nil, uint64(len(p)))) + len(p)

@@ -231,11 +231,10 @@ type Config struct {
 	Obs *obs.Recorder
 
 	// ReplayObs additionally attaches Obs to every tenant's replay
-	// pipeline (per-bank NRR events, per-ACT counters via
-	// mitigation.Instrument). That instrumentation costs an atomic
-	// increment per ACT shared across all tenants, so it is a debugging
-	// mode, off by default — the serve-path throughput gate runs without
-	// it.
+	// pipeline (memctrl's per-bank NRR events and counters). Those
+	// counters are atomics shared across all tenants and updated on every
+	// mitigator call, so it is a debugging mode, off by default — the
+	// serve-path throughput gate runs without it.
 	ReplayObs bool
 
 	// Checkpoint, when non-nil, journals every finished session's Report

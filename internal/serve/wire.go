@@ -2,7 +2,7 @@
 // a long-lived TCP server that accepts ACT streams from many concurrent
 // clients, routes each tenant's stream onto per-(tenant, bank) replay
 // pipelines — one memctrl.RunBlocks session per tenant, which fans the
-// columnar blocks out to one sched job per bank — and answers with the
+// columnar blocks out to one goroutine per bank — and answers with the
 // tenant's victim-refresh decisions, bit-flip verdicts, and refresh
 // overhead.
 //

@@ -24,14 +24,6 @@ func AdversarialPatterns(sc Scale) []func() trace.Generator {
 	}
 }
 
-// AdversarialSweep measures the counter schemes and PARA under the attack
-// suite: the data behind Fig. 8(b). Attacks run on a single bank (the
-// refresh-overhead ratio is bank-local, as in the paper's accounting).
-// Cells run on the sched pool (see Options).
-func AdversarialSweep(sc Scale, trh int64) ([]Row, error) {
-	return AdversarialSweepOpts(sc, trh, Options{})
-}
-
 // RunAttack replays one attack generator under one scheme on a single-bank
 // geometry and returns the measured cell. Tools, examples, and tests use it
 // for one-off attack measurements.

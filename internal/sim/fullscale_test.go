@@ -26,7 +26,7 @@ func TestFullScalePaperConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := SweepProfiles(sc, 50000, pick(workload.Profiles(), "mcf"), schemes[:2]) // Graphene + TWiCe
+	rows, err := SweepProfilesOpts(sc, 50000, pick(workload.Profiles(), "mcf"), schemes[:2], Options{}) // Graphene + TWiCe
 	if err != nil {
 		t.Fatal(err)
 	}

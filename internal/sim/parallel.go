@@ -291,7 +291,10 @@ func profileBaselines(p *sweepPlan, sc Scale, profiles []workload.Profile) ([]fu
 	return bases, nil
 }
 
-// SweepProfilesOpts is SweepProfiles with explicit execution options.
+// SweepProfilesOpts measures an explicit workload × scheme matrix: each
+// profile runs once unprotected (the slowdown baseline, shared by every
+// scheme via memoization) and once per scheme with the oracle enabled.
+// Cells run on the sched pool under opt.
 func SweepProfilesOpts(sc Scale, trh int64, profiles []workload.Profile, schemes []Spec, opt Options) ([]Row, error) {
 	plan := newPlan(sc, opt)
 	bases, err := profileBaselines(plan, sc, profiles)
@@ -308,7 +311,10 @@ func SweepProfilesOpts(sc Scale, trh int64, profiles []workload.Profile, schemes
 	return rows, nil
 }
 
-// NormalSweepOpts is NormalSweep with explicit execution options.
+// NormalSweepOpts measures every realistic workload under every counter
+// scheme: the data behind Fig. 8(a) (refresh-energy overhead) and Fig.
+// 8(c) (performance loss). The oracle runs throughout; sound schemes must
+// report zero flips. Cells run on the sched pool under opt.
 func NormalSweepOpts(sc Scale, trh int64, opt Options) ([]Row, error) {
 	schemes, err := CounterSchemes(trh, sc)
 	if err != nil {
@@ -317,10 +323,11 @@ func NormalSweepOpts(sc Scale, trh int64, opt Options) ([]Row, error) {
 	return SweepProfilesOpts(sc, trh, workload.Profiles(), schemes, opt)
 }
 
-// ScalingNormalOpts is ScalingNormal with explicit execution options. The
-// whole (threshold × workload × scheme) grid is flattened into one pool
-// run, and each workload's unprotected baseline is replayed once and
-// shared across every threshold.
+// ScalingNormalOpts measures the Fig. 9(b)/(d) sweep: average
+// refresh-energy overhead and performance loss on normal workloads across
+// thresholds. The whole (threshold × workload × scheme) grid is flattened
+// into one pool run under opt, and each workload's unprotected baseline is
+// replayed once and shared across every threshold.
 func ScalingNormalOpts(sc Scale, trhs []int64, opt Options) ([]ScalingRow, error) {
 	plan := newPlan(sc, opt)
 	profiles := ScalingWorkloads()
@@ -388,7 +395,10 @@ func singleBank(sc Scale) Scale {
 	return oneBank
 }
 
-// AdversarialSweepOpts is AdversarialSweep with explicit execution options.
+// AdversarialSweepOpts measures the counter schemes and PARA under the
+// attack suite: the data behind Fig. 8(b). Attacks run on a single bank
+// (the refresh-overhead ratio is bank-local, as in the paper's
+// accounting). Cells run on the sched pool under opt.
 func AdversarialSweepOpts(sc Scale, trh int64, opt Options) ([]Row, error) {
 	oneBank := singleBank(sc)
 	schemes, err := CounterSchemes(trh, oneBank)
@@ -405,10 +415,11 @@ func AdversarialSweepOpts(sc Scale, trh int64, opt Options) ([]Row, error) {
 	return rows, nil
 }
 
-// ScalingAdversarialOpts is ScalingAdversarial with explicit execution
-// options: one pool run over the whole (threshold × pattern × scheme)
-// grid, with each pattern's unprotected baseline replayed once and shared
-// across every threshold.
+// ScalingAdversarialOpts measures the Fig. 9(c) sweep: average
+// refresh-energy overhead under the attack suite across thresholds, as one
+// pool run under opt over the whole (threshold × pattern × scheme) grid,
+// with each pattern's unprotected baseline replayed once and shared across
+// every threshold.
 func ScalingAdversarialOpts(sc Scale, trhs []int64, opt Options) ([]ScalingRow, error) {
 	oneBank := singleBank(sc)
 	plan := newPlan(oneBank, opt)

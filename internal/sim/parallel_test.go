@@ -52,7 +52,7 @@ func TestScalingNormalIdenticalAcrossJobs(t *testing.T) {
 }
 
 // TestAdversarialSweepMatchesSerialReference replays the historical serial
-// AdversarialSweep loop verbatim and requires the scheduled sweep to equal
+// adversarial-sweep loop verbatim and requires the scheduled sweep to equal
 // it cell-for-cell. This pins byte-identity across the scheduler port — in
 // particular the instantiation order of stateful factories (PARA derives
 // each engine's seed from a closure counter).

@@ -65,22 +65,6 @@ func ScalingWorkloads() []workload.Profile {
 	return out
 }
 
-// ScalingNormal measures the Fig. 9(b)/(d) sweep: average refresh-energy
-// overhead and performance loss on normal workloads across thresholds.
-// The whole grid runs as one pool of cells, sharing each workload's
-// unprotected baseline across thresholds (see Options).
-func ScalingNormal(sc Scale, trhs []int64) ([]ScalingRow, error) {
-	return ScalingNormalOpts(sc, trhs, Options{})
-}
-
-// ScalingAdversarial measures the Fig. 9(c) sweep: average refresh-energy
-// overhead under the attack suite across thresholds. The whole grid runs
-// as one pool of cells, sharing each pattern's unprotected baseline across
-// thresholds (see Options).
-func ScalingAdversarial(sc Scale, trhs []int64) ([]ScalingRow, error) {
-	return ScalingAdversarialOpts(sc, trhs, Options{})
-}
-
 // average folds per-workload rows into one averaged cell per scheme.
 func average(trh int64, rows []Row) ScalingRow {
 	type acc struct {

@@ -146,21 +146,6 @@ type Row struct {
 	Cells    []Cell
 }
 
-// NormalSweep measures every realistic workload under every counter scheme:
-// the data behind Fig. 8(a) (refresh-energy overhead) and Fig. 8(c)
-// (performance loss). The oracle runs throughout; sound schemes must
-// report zero flips. Cells run on the sched pool (see Options).
-func NormalSweep(sc Scale, trh int64) ([]Row, error) {
-	return NormalSweepOpts(sc, trh, Options{})
-}
-
-// SweepProfiles measures an explicit workload × scheme matrix: each profile
-// runs once unprotected (the slowdown baseline, shared by every scheme via
-// memoization) and once per scheme with the oracle enabled.
-func SweepProfiles(sc Scale, trh int64, profiles []workload.Profile, schemes []Spec) ([]Row, error) {
-	return SweepProfilesOpts(sc, trh, profiles, schemes, Options{})
-}
-
 // SeedVariance runs one workload × scheme pair across several seeds and
 // returns the refresh-overhead statistics — the error-bar view behind the
 // Fig. 8 bars (the paper reports single runs; this quantifies how much the

@@ -80,7 +80,7 @@ func TestNormalWorkloadsFig8a8c(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := SweepProfiles(sc, 50000, pick(workload.Profiles(), "mcf", "libquantum"), schemes)
+	rows, err := SweepProfilesOpts(sc, 50000, pick(workload.Profiles(), "mcf", "libquantum"), schemes, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestNormalWorkloadsFig8a8c(t *testing.T) {
 
 func TestAdversarialFig8b(t *testing.T) {
 	sc := testScale()
-	rows, err := AdversarialSweep(sc, 50000)
+	rows, err := AdversarialSweepOpts(sc, 50000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestScalingSweepsShape(t *testing.T) {
 	sc.AdversarialWindows = 0.1
 	trhs := []int64{50000, 12500}
 
-	adv, err := ScalingAdversarial(sc, trhs)
+	adv, err := ScalingAdversarialOpts(sc, trhs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,7 +308,7 @@ func WriteBinary(w io.Writer, gen Generator) (int64, error) {
 		banks = enc.maxBank + 1
 	}
 	version := enc.version()
-	head := AppendBinaryHeaderVersion(nil, name, banks, enc.total, version)
+	head := AppendBinaryHeader(nil, name, banks, enc.total, version)
 	if _, err := w.Write(head); err != nil {
 		return 0, err
 	}
@@ -321,22 +321,16 @@ func WriteBinary(w io.Writer, gen Generator) (int64, error) {
 	return enc.total, nil
 }
 
-// AppendBinaryHeader appends the version-1 binary trace header — magic,
-// length-prefixed name, bank count, access count, all canonical uvarints —
-// to dst and returns it. It is the exact byte sequence WriteBinary puts
-// before the first segment, exposed so a journaled session can reconstruct
-// the prefix of a half-streamed trace without re-encoding any accesses
-// (serve's resume path glues this header onto the journaled raw segments).
-func AppendBinaryHeader(dst []byte, name string, banks int, total int64) []byte {
-	return AppendBinaryHeaderVersion(dst, name, banks, total, 1)
-}
-
-// AppendBinaryHeaderVersion is AppendBinaryHeader for an explicit format
-// version (1 or 2; anything else panics — the version comes from this
-// package's own reader/writer, never from the wire). Resume journals
-// record the version of the stream they journaled so the reconstructed
-// header matches the spliced segment bytes.
-func AppendBinaryHeaderVersion(dst []byte, name string, banks int, total int64, version int) []byte {
+// AppendBinaryHeader appends the binary trace header of the given format
+// version — magic, length-prefixed name, bank count, access count, all
+// canonical uvarints — to dst and returns it. It is the exact byte
+// sequence WriteBinary puts before the first segment, exposed so a
+// journaled session can reconstruct the prefix of a half-streamed trace
+// without re-encoding any accesses (serve's resume path glues this header
+// onto the journaled raw segments, with the version of the stream it
+// journaled). version is 1 or 2; anything else panics — it comes from
+// this package's own reader or writer, never from the wire.
+func AppendBinaryHeader(dst []byte, name string, banks int, total int64, version int) []byte {
 	switch version {
 	case 1:
 		dst = append(dst, binaryMagic...)
@@ -353,34 +347,16 @@ func AppendBinaryHeaderVersion(dst []byte, name string, banks int, total int64, 
 }
 
 // SkipBinaryPrefix consumes the binary header and the first n segments
-// from r, validating magic and field limits but decoding nothing. It is
-// the client half of session resume: after the server acknowledges m
-// segments already replayed, the client skips header plus m segments and
-// streams the remainder — raw length-prefixed segments and the end marker
-// — from the same reader. A stream that ends (or hits the end marker)
-// before n segments is an error: the resume handle promises at least that
-// many.
+// from r. NewBlockReader reads and checks the header; segments are
+// length-checked and skipped, never decoded. It is the client half of
+// session resume: after the server acknowledges m segments already
+// replayed, the client skips header plus m segments and streams the
+// remainder — raw length-prefixed segments and the end marker — from the
+// same reader. A stream that ends (or hits the end marker) before n
+// segments is an error: the resume handle promises at least that many.
 func SkipBinaryPrefix(r *bufio.Reader, n int) error {
-	if binaryVersion(r) == 0 {
-		return ErrNotBinary
-	}
-	if _, err := r.Discard(len(binaryMagic)); err != nil {
-		return binErrf("header: %w", err)
-	}
-	nameLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return binErrf("header: truncated name length: %w", noEOF(err))
-	}
-	if nameLen > MaxNameLen {
-		return binErrf("header: name length %d exceeds limit %d", nameLen, MaxNameLen)
-	}
-	if _, err := r.Discard(int(nameLen)); err != nil {
-		return binErrf("header: truncated name: %w", noEOF(err))
-	}
-	for _, what := range []string{"bank count", "access count"} {
-		if _, err := binary.ReadUvarint(r); err != nil {
-			return binErrf("header: truncated %s: %w", what, noEOF(err))
-		}
+	if _, err := NewBlockReader(r); err != nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
 		segLen, err := binary.ReadUvarint(r)

@@ -60,7 +60,7 @@ func TestOnSegmentJournalRebuildsStream(t *testing.T) {
 		t.Fatalf("Decoded() = %d, want %d", br.Decoded(), len(accs))
 	}
 
-	rebuilt := AppendBinaryHeader(nil, br.Name(), br.Banks(), br.Total())
+	rebuilt := AppendBinaryHeader(nil, br.Name(), br.Banks(), br.Total(), br.Version())
 	for _, p := range segs {
 		rebuilt = binary.AppendUvarint(rebuilt, uint64(len(p)))
 		rebuilt = append(rebuilt, p...)
@@ -108,7 +108,7 @@ func TestSkipBinaryPrefixSplicesWithJournal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		journal := AppendBinaryHeader(nil, jr.Name(), jr.Banks(), jr.Total())
+		journal := AppendBinaryHeader(nil, jr.Name(), jr.Banks(), jr.Total(), jr.Version())
 		jr.OnSegment = func(p []byte) error {
 			if jr.Segments() <= skip {
 				journal = binary.AppendUvarint(journal, uint64(len(p)))
@@ -162,6 +162,13 @@ func TestSkipBinaryPrefixErrors(t *testing.T) {
 	if err := SkipBinaryPrefix(r, 0); !errors.Is(err, ErrNotBinary) {
 		t.Fatalf("text stream error = %v, want ErrNotBinary", err)
 	}
+
+	// A header the decoder would reject is rejected before any skip.
+	hostile := append(AppendBinaryHeader(nil, "hostile", MaxBank+2, 0, 1), 0)
+	r = bufio.NewReader(bytes.NewReader(hostile))
+	if err := SkipBinaryPrefix(r, 0); err == nil || !strings.Contains(err.Error(), "banks exceeds limit") {
+		t.Fatalf("oversized bank count error = %v", err)
+	}
 }
 
 func TestOnSegmentErrorPoisonsReader(t *testing.T) {
@@ -188,7 +195,7 @@ func TestOnSegmentErrorPoisonsReader(t *testing.T) {
 func TestAppendBinaryHeaderMatchesWriter(t *testing.T) {
 	accs := []Access{{Bank: 2, Row: 9, Gap: 3}, {Bank: 0, Row: 1, Gap: 0}}
 	data := encodeBinary(t, "hdr", accs)
-	head := AppendBinaryHeader(nil, "hdr", 3, 2)
+	head := AppendBinaryHeader(nil, "hdr", 3, 2, 1)
 	if !bytes.HasPrefix(data, head) {
 		t.Fatalf("WriteBinary output does not start with AppendBinaryHeader bytes")
 	}

@@ -8,7 +8,7 @@ import "graphene/internal/dram"
 
 // Access is one row activation request.
 type Access struct {
-	Bank int       // flat bank index (dram.BankID.Flat)
+	Bank int       // flat bank index in [0, dram.Geometry.Banks())
 	Row  int       // row within the bank
 	Gap  dram.Time // idle time the workload inserts before this access
 
@@ -66,21 +66,6 @@ func FromFunc(name string, next func() (Access, bool)) Generator {
 func (g *funcGen) Name() string         { return g.name }
 func (g *funcGen) Next() (Access, bool) { return g.next() }
 
-// Limit caps g at n accesses.
-func Limit(g Generator, n int64) Generator {
-	var seen int64
-	return FromFunc(g.Name(), func() (Access, bool) {
-		if seen >= n {
-			return Access{}, false
-		}
-		a, ok := g.Next()
-		if ok {
-			seen++
-		}
-		return a, ok
-	})
-}
-
 // Collect drains g into a slice (tests and small tools only).
 func Collect(g Generator) []Access {
 	var out []Access
@@ -91,18 +76,4 @@ func Collect(g Generator) []Access {
 		}
 		out = append(out, a)
 	}
-}
-
-// Concat chains generators end to end under a combined name.
-func Concat(name string, gens ...Generator) Generator {
-	i := 0
-	return FromFunc(name, func() (Access, bool) {
-		for i < len(gens) {
-			if a, ok := gens[i].Next(); ok {
-				return a, true
-			}
-			i++
-		}
-		return Access{}, false
-	})
 }

@@ -24,41 +24,3 @@ func TestFromSliceReplaysInOrder(t *testing.T) {
 		t.Error("exhausted generator returned ok")
 	}
 }
-
-func TestLimitCapsStream(t *testing.T) {
-	n := 0
-	g := FromFunc("inf", func() (Access, bool) {
-		n++
-		return Access{Row: n}, true
-	})
-	got := Collect(Limit(g, 5))
-	if len(got) != 5 {
-		t.Errorf("Limit(5) yielded %d", len(got))
-	}
-}
-
-func TestLimitShorterStream(t *testing.T) {
-	g := FromSlice("s", []Access{{Row: 1}})
-	if got := Collect(Limit(g, 10)); len(got) != 1 {
-		t.Errorf("Limit beyond end yielded %d", len(got))
-	}
-}
-
-func TestConcatChains(t *testing.T) {
-	a := FromSlice("a", []Access{{Row: 1}, {Row: 2}})
-	b := FromSlice("b", []Access{{Row: 3}})
-	g := Concat("ab", a, b)
-	got := Collect(g)
-	if len(got) != 3 || got[2].Row != 3 {
-		t.Errorf("Concat yielded %+v", got)
-	}
-	if g.Name() != "ab" {
-		t.Errorf("Name = %q", g.Name())
-	}
-}
-
-func TestConcatEmpty(t *testing.T) {
-	if got := Collect(Concat("none")); len(got) != 0 {
-		t.Errorf("empty Concat yielded %d", len(got))
-	}
-}

@@ -200,7 +200,7 @@ func TestNoFalseNegatives(t *testing.T) {
 				}
 			}
 		}
-		if n := o.FlipCount(); n != 0 {
+		if n := len(o.Flips()); n != 0 {
 			t.Errorf("stream %d: TWiCe allowed %d bit flips", si, n)
 		}
 	}

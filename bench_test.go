@@ -338,7 +338,7 @@ func BenchmarkScheme_AppendOnActivate(b *testing.B) {
 	specs = append(specs, sim.CRASpec(50000, sc))
 	for _, spec := range specs {
 		b.Run(spec.Name, func(b *testing.B) {
-			m, err := spec.Factory()
+			m, err := spec.Factory(sc.Seed)()
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,14 +7,17 @@ import (
 	"strings"
 	"testing"
 
+	"graphene/internal/dram"
 	"graphene/internal/faultinject"
+	"graphene/internal/obs"
 	"graphene/internal/sched"
 )
 
 // quickOpts sizes the adversarial grid (5 patterns × 4 schemes) small
-// enough for a unit test.
+// enough for a unit test, on the default DDR4 device (a zero profile has
+// zero timing, whose attack patterns are empty).
 func quickOpts() options {
-	return options{trh: 50000, acts: 20_000, windows: 0.05, seed: 1}
+	return options{trh: 50000, acts: 20_000, windows: 0.05, seed: 1, prof: dram.DDR4Profile()}
 }
 
 // adversarialCSV renders one -sweep adversarial run to its CSV bytes.
@@ -70,5 +73,46 @@ func TestCheckpointResumeByteIdenticalCSV(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("resumed CSV differs from the uninterrupted run:\n got:\n%s\n want:\n%s", got, want)
+	}
+}
+
+// TestFaultInjectRetriesByteIdenticalCSV: a sweep whose injected faults
+// are all retried away (-retries 3) must emit CSV byte-identical to an
+// unfaulted run, wherever in the grid the fault lands — a baseline replay
+// or a cell, the first grid row or the last.
+func TestFaultInjectRetriesByteIdenticalCSV(t *testing.T) {
+	want, err := adversarialCSV(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{
+		"memctrl.replay:error:1",
+		"memctrl.replay:error:20",
+		"memctrl.replay:error:800",
+		"memctrl.partition:error:30",
+		"memctrl.partition:error:800",
+		"sched.job:error:5",
+	} {
+		for _, jobs := range []int{1, 2} {
+			o := quickOpts()
+			o.jobs = jobs
+			o.retries = 3
+			if o.fault, err = faultinject.New(spec); err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.New()
+			o.fault.SetRecorder(rec)
+			got, err := adversarialCSV(o)
+			if err != nil {
+				t.Errorf("%s jobs=%d: retried sweep failed: %v", spec, jobs, err)
+				continue
+			}
+			if n := rec.Snapshot().Counters["faults_injected_total"]; n != 1 {
+				t.Errorf("%s jobs=%d: fault fired %d times, want 1", spec, jobs, n)
+			}
+			if got != want {
+				t.Errorf("%s jobs=%d: retried CSV differs from the unfaulted run:\n got:\n%s\n want:\n%s", spec, jobs, got, want)
+			}
+		}
 	}
 }

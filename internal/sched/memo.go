@@ -2,24 +2,22 @@ package sched
 
 import "sync"
 
-// MemoStats counts how a Memo was used: Misses is the number of distinct
-// keys computed, Hits the number of lookups served from (or while waiting
-// on) an existing entry.
+// MemoStats counts how a Memo was used: Misses is the number of
+// computations started, Hits the number of lookups served from (or while
+// waiting on) an existing entry.
 type MemoStats struct {
 	Hits   int64
 	Misses int64
 }
 
-// Memo is a concurrency-safe, single-flight result cache. The sweeps use
-// it to share one unprotected baseline run per workload across every
-// (scheme, threshold) cell: the first cell to ask computes it, concurrent
-// askers block on the same computation, and later askers get the stored
-// value. Real errors are cached too — a failing baseline fails every
-// dependent cell identically instead of being retried — but context
-// cancellation (context.Canceled / DeadlineExceeded) is not: a baseline
-// that was merely interrupted by an aborting sweep is recomputed on the
-// next ask, so a resumed or retried sweep never re-fails from a stale
-// cancellation.
+// Memo is a concurrency-safe, single-flight cache of successful results.
+// The sweeps use it to share one unprotected baseline run per workload
+// across every (scheme, threshold) cell: the first cell to ask computes
+// it, concurrent askers block on the same computation, and later askers
+// get the stored value. Errors are not cached: askers already waiting on
+// a failing computation observe its error, and the next ask computes
+// afresh, so a retried cell recovers a baseline that a transient fault
+// (or an aborting sweep's cancellation) broke.
 type Memo[K comparable, V any] struct {
 	mu    sync.Mutex
 	m     map[K]*memoEntry[V]
@@ -32,8 +30,8 @@ type memoEntry[V any] struct {
 	err  error
 }
 
-// Do returns the memoized value for k, computing it at most once across
-// all callers.
+// Do returns the memoized value for k, computing it until one computation
+// succeeds; concurrent callers share one computation.
 func (m *Memo[K, V]) Do(k K, compute func() (V, error)) (V, error) {
 	m.mu.Lock()
 	if m.m == nil {
@@ -50,9 +48,7 @@ func (m *Memo[K, V]) Do(k K, compute func() (V, error)) (V, error) {
 	m.mu.Unlock()
 
 	e.once.Do(func() { e.val, e.err = compute() })
-	if isCancel(e.err) {
-		// Drop the poisoned entry (concurrent askers already waiting on it
-		// still observe the cancellation; the next Do computes afresh).
+	if e.err != nil {
 		m.mu.Lock()
 		if m.m[k] == e {
 			delete(m.m, k)

@@ -9,10 +9,11 @@
 // the shared context and the remaining queued jobs are skipped, exactly
 // like a serial loop returning early; a panicking job is recovered into a
 // labeled error instead of crashing the process; an optional retry policy
-// re-runs retryable failures with capped exponential backoff; and an
-// optional parent context aborts the whole pool on cancellation or
-// deadline. A progress callback supports live CLI reporting and is always
-// terminated with one final notification, on completion and abort alike.
+// re-runs failures other than panics and cancellations with capped
+// exponential backoff; and an optional parent context aborts the whole
+// pool on cancellation or deadline. A progress callback supports live CLI
+// reporting and is always terminated with one final notification, on
+// completion and abort alike.
 package sched
 
 import (
@@ -51,24 +52,24 @@ type Progress struct {
 	Err error
 }
 
-// RetryPolicy re-runs failed jobs. The zero value disables retries.
+// RetryPolicy re-runs failed jobs. The zero value disables retries. Every
+// error is retried except a recovered panic (*PanicError), which is a bug
+// a rerun would only repeat, and a context cancellation or deadline — an
+// aborting pool must not respawn work.
 type RetryPolicy struct {
 	// MaxAttempts bounds the total executions of one job (1 or less means
 	// a single attempt, i.e. no retries).
 	MaxAttempts int
 
 	// BaseDelay is the wait before the first retry; each further retry
-	// doubles it, capped at MaxDelay (which defaults to 1s when unset and
-	// BaseDelay is positive). Zero means immediate retries. The waits are
-	// deterministic — no jitter — so retried sweeps stay reproducible.
+	// doubles it, capped at maxRetryDelay. Zero means immediate retries.
+	// The waits are deterministic — no jitter — so retried sweeps stay
+	// reproducible.
 	BaseDelay time.Duration
-	MaxDelay  time.Duration
-
-	// Retryable classifies errors; nil retries everything except panics.
-	// Context cancellation (context.Canceled / DeadlineExceeded) is never
-	// retried regardless — an aborting pool must not respawn work.
-	Retryable func(error) bool
 }
+
+// maxRetryDelay caps the exponential backoff between attempts.
+const maxRetryDelay = time.Second
 
 // isCancel reports whether err is a context cancellation or deadline.
 func isCancel(err error) bool {
@@ -90,38 +91,19 @@ func outranks(err error, i int, cur error, curIdx int) bool {
 	return i < curIdx
 }
 
-// retryable reports whether the policy re-runs a job that failed with err.
-func (p RetryPolicy) retryable(err error) bool {
-	if isCancel(err) {
-		return false
-	}
-	if p.Retryable != nil {
-		return p.Retryable(err)
-	}
+// retryable reports whether a job that failed with err is re-run.
+func retryable(err error) bool {
 	var pe *PanicError
-	return !errors.As(err, &pe)
+	return !isCancel(err) && !errors.As(err, &pe)
 }
 
 // delay returns the backoff before retry number n (1-based).
 func (p RetryPolicy) delay(n int) time.Duration {
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	cap := p.MaxDelay
-	if cap <= 0 {
-		cap = time.Second
-	}
 	d := p.BaseDelay
-	for i := 1; i < n; i++ {
+	for i := 1; i < n && d < maxRetryDelay; i++ {
 		d *= 2
-		if d >= cap {
-			return cap
-		}
 	}
-	if d > cap {
-		d = cap
-	}
-	return d
+	return min(d, maxRetryDelay)
 }
 
 // Options configures a pool run.
@@ -257,7 +239,7 @@ func Run(opts Options, jobs []Job) error {
 				cellStart := time.Now()
 				err := execJob(ctx, opts.Fault, jobs[i])
 				for retry := 1; err != nil && retry < opts.Retry.MaxAttempts &&
-					opts.Retry.retryable(err) && ctx.Err() == nil; retry++ {
+					retryable(err) && ctx.Err() == nil; retry++ {
 					retryC.Inc()
 					opts.Obs.Emit(obs.Event{
 						Kind: obs.KindCellRetry, Bank: -1, Label: jobs[i].Label,

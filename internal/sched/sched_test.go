@@ -272,24 +272,12 @@ func TestRetryPolicySkipsPanicsAndCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || attempts.Load() != 1 {
 		t.Fatalf("cancelled job: err = %v after %d attempts, want no retries", err, attempts.Load())
 	}
-
-	// A custom classifier restricts retries further.
-	attempts.Store(0)
-	err = Run(Options{Jobs: 1, Retry: RetryPolicy{
-		MaxAttempts: 5,
-		Retryable:   func(error) bool { return false },
-	}}, []Job{
-		{Label: "fatal", Do: func(context.Context) error { attempts.Add(1); return errors.New("fatal") }},
-	})
-	if err == nil || attempts.Load() != 1 {
-		t.Fatalf("non-retryable: err = %v after %d attempts", err, attempts.Load())
-	}
 }
 
 func TestRetryBackoffIsCappedExponential(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 35 * time.Millisecond}
+	p := RetryPolicy{BaseDelay: 300 * time.Millisecond}
 	want := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 35 * time.Millisecond, 35 * time.Millisecond,
+		300 * time.Millisecond, 600 * time.Millisecond, time.Second, time.Second, time.Second,
 	}
 	for i, w := range want {
 		if got := p.delay(i + 1); got != w {
@@ -299,9 +287,13 @@ func TestRetryBackoffIsCappedExponential(t *testing.T) {
 	if got := (RetryPolicy{}).delay(3); got != 0 {
 		t.Errorf("zero policy delay = %v, want 0", got)
 	}
-	// Unset cap defaults to 1s.
-	if got := (RetryPolicy{BaseDelay: 300 * time.Millisecond}).delay(5); got != time.Second {
-		t.Errorf("defaulted cap delay = %v, want 1s", got)
+	// A base delay above the cap is clamped from the first retry, and a
+	// large attempt number cannot overflow the doubling.
+	if got := (RetryPolicy{BaseDelay: time.Hour}).delay(1); got != time.Second {
+		t.Errorf("oversized base delay = %v, want 1s", got)
+	}
+	if got := p.delay(1000); got != time.Second {
+		t.Errorf("delay(1000) = %v, want 1s", got)
 	}
 }
 
@@ -476,7 +468,7 @@ func TestMemoSingleFlight(t *testing.T) {
 	}
 }
 
-func TestMemoCachesErrors(t *testing.T) {
+func TestMemoRecomputesErrors(t *testing.T) {
 	var m Memo[int, int]
 	boom := errors.New("boom")
 	var computes int
@@ -486,8 +478,17 @@ func TestMemoCachesErrors(t *testing.T) {
 			t.Fatalf("call %d: err = %v", i, err)
 		}
 	}
-	if computes != 1 {
-		t.Errorf("failed compute retried %d times", computes)
+	if computes != 3 {
+		t.Errorf("3 failing calls computed %d times, want 3 (errors must not be cached)", computes)
+	}
+	// A later success is cached like any other.
+	for i := 0; i < 2; i++ {
+		if v, err := m.Do(7, func() (int, error) { computes++; return 7, nil }); v != 7 || err != nil {
+			t.Fatalf("recovered call %d = %d, %v", i, v, err)
+		}
+	}
+	if computes != 4 {
+		t.Errorf("computed %d times, want 4 (the success must be cached)", computes)
 	}
 	if v, err := m.Do(8, func() (int, error) { return 8, nil }); v != 8 || err != nil {
 		t.Errorf("independent key poisoned: %d, %v", v, err)

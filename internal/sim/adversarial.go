@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"graphene/internal/dram"
 	"graphene/internal/memctrl"
 	"graphene/internal/trace"
 	"graphene/internal/workload"
@@ -24,14 +23,13 @@ func AdversarialPatterns(sc Scale) []func() trace.Generator {
 	}
 }
 
-// RunAttack replays one attack generator under one scheme on a single-bank
-// geometry and returns the measured cell. Tools, examples, and tests use it
-// for one-off attack measurements.
+// RunAttack replays one attack generator under one scheme, seeded at
+// sc.Seed, on a single-bank geometry and returns the measured cell. Tools,
+// examples, and tests use it for one-off attack measurements.
 func RunAttack(sc Scale, trh int64, spec Spec, gen trace.Generator) (Cell, error) {
-	geo := dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: sc.Geometry.RowsPerBank}
 	res, err := memctrl.Run(memctrl.Config{
-		Geometry: geo, Timing: sc.Timing,
-		Factory: spec.Factory, TRH: trh,
+		Geometry: singleBank(sc).Geometry, Timing: sc.Timing,
+		Factory: spec.factory(sc.Seed), TRH: trh,
 	}, gen)
 	if err != nil {
 		return Cell{}, fmt.Errorf("sim: attack %s/%s: %w", gen.Name(), spec.Name, err)

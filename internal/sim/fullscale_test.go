@@ -45,7 +45,7 @@ func TestFullScalePaperConfiguration(t *testing.T) {
 	acts := sc.Timing.MaxACTs(sc.Timing.TREFW)
 	res, err := memctrl.Run(memctrl.Config{
 		Geometry: oneBank.Geometry, Timing: sc.Timing,
-		Factory: schemes[0].Factory, TRH: 50000,
+		Factory: schemes[0].Factory(sc.Seed), TRH: 50000,
 	}, workload.S3(0, 32768, acts))
 	if err != nil {
 		t.Fatal(err)

@@ -28,8 +28,9 @@ type Options struct {
 	Progress func(sched.Progress)
 
 	// BaselineStats, when non-nil, receives the baseline-memoization
-	// counters once the sweep finishes: Misses is the number of distinct
-	// baseline replays, Hits the number of cells that shared one.
+	// counters once the sweep finishes: Misses is the number of baseline
+	// replays started (one per workload unless a failed one was redone),
+	// Hits the number of cells that shared one.
 	BaselineStats *sched.MemoStats
 
 	// Obs, when non-nil, threads the observability recorder through the
@@ -44,10 +45,10 @@ type Options struct {
 	Ctx context.Context
 
 	// Retry re-runs failed cells per sched.RetryPolicy (the zero value
-	// never retries). Caveat: a retried cell re-instantiates its scheme's
-	// engines, so retries under a stateful factory (PARA derives engine
-	// seeds from a global instantiation counter) trade byte-identity with
-	// the serial sweep for forward progress.
+	// never retries). Every attempt rebuilds its cell from the row's
+	// source and the cell's seed, and a failed baseline is recomputed by
+	// the next cell that asks for it, so a sweep whose failures were all
+	// retried away is byte-identical to one that never failed.
 	Retry sched.RetryPolicy
 
 	// Fault, when non-nil, arms deterministic fault points in the
@@ -63,9 +64,38 @@ type Options struct {
 	Checkpoint *sched.Checkpoint
 }
 
+// source is one grid row's workload: its name and a constructor for a
+// fresh generator over its access stream. The sweep calls gen for the
+// baseline and for every attempt of every cell, so no attempt ever
+// resumes a stream another one half consumed.
+type source struct {
+	name string
+	gen  func() (trace.Generator, error)
+}
+
+// profileSources turns realistic workload profiles into grid rows.
+func profileSources(sc Scale, profiles []workload.Profile) []source {
+	srcs := make([]source, len(profiles))
+	for i, prof := range profiles {
+		srcs[i] = source{name: prof.Name, gen: func() (trace.Generator, error) {
+			return prof.Generate(sc.Geometry, sc.Timing, sc.WorkloadAccesses, sc.Seed)
+		}}
+	}
+	return srcs
+}
+
+// patternSources turns attack-pattern constructors into grid rows.
+func patternSources(pats []func() trace.Generator) []source {
+	srcs := make([]source, len(pats))
+	for i, mk := range pats {
+		srcs[i] = source{name: mk().Name(), gen: func() (trace.Generator, error) { return mk(), nil }}
+	}
+	return srcs
+}
+
 // sweepPlan flattens a sweep into independent cell jobs — one protected
-// memctrl run per (workload, scheme, threshold) — sharing one memoized
-// unprotected baseline per workload. Cells write into pre-assembled row
+// memctrl run per (source, scheme, threshold) — sharing one memoized
+// unprotected baseline per source. Cells write into pre-assembled row
 // slots, so output order is fixed at submission time regardless of how
 // execution interleaves.
 type sweepPlan struct {
@@ -91,64 +121,72 @@ func (p *sweepPlan) cellKey(label string) string {
 	return fmt.Sprintf("%016x|%s", h.Sum64(), label)
 }
 
-// baseline returns the memoized unprotected run for one workload. gen is
-// consumed by whichever cell computes the baseline first; the memo's
-// single-flight guarantee means that happens exactly once, so the
-// single-use generator is safe to capture.
-func (p *sweepPlan) baseline(geo dram.Geometry, gen trace.Generator) func() (memctrl.Result, error) {
-	name := gen.Name()
-	return func() (memctrl.Result, error) {
-		return p.memo.Do(name, func() (memctrl.Result, error) {
-			res, err := memctrl.Run(memctrl.Config{Geometry: geo, Timing: p.sc.Timing, Obs: p.obs, Fault: p.fault}, gen)
-			if err != nil {
-				return memctrl.Result{}, fmt.Errorf("sim: baseline %s: %w", name, err)
-			}
-			return res, nil
-		})
+// replay runs a fresh generator from src through memctrl on the plan's
+// device; a nil factory replays unprotected.
+func (p *sweepPlan) replay(src source, f mitigation.Factory, trh int64) (memctrl.Result, error) {
+	gen, err := src.gen()
+	if err != nil {
+		return memctrl.Result{}, err
 	}
+	return memctrl.Run(memctrl.Config{
+		Geometry: p.sc.Geometry, Timing: p.sc.Timing,
+		Factory: f, TRH: trh, Obs: p.obs, Fault: p.fault,
+	}, gen)
 }
 
-// addCell schedules one protected run. factory is the cell's slot in its
-// scheme's ordered handoff (nil for an unprotected spec); base supplies the
-// memoized baseline; the measured cell lands in *slot.
-func (p *sweepPlan) addCell(geo dram.Geometry, trh int64, spec Spec, factory func(context.Context) mitigation.Factory, wname string, gen trace.Generator, base func() (memctrl.Result, error), slot *Cell) {
-	label := fmt.Sprintf("%s/%s trh=%d", wname, spec.Name, trh)
+// baseline returns src's memoized unprotected run: replayed by the first
+// cell that asks and shared by every later one, across thresholds too.
+func (p *sweepPlan) baseline(src source) (memctrl.Result, error) {
+	return p.memo.Do(src.name, func() (memctrl.Result, error) {
+		res, err := p.replay(src, nil, 0)
+		if err != nil {
+			return memctrl.Result{}, fmt.Errorf("sim: baseline %s: %w", src.name, err)
+		}
+		return res, nil
+	})
+}
+
+// grid registers one threshold's source × scheme grid on the plan and
+// returns its row slots. Cell (wi, si) builds its engines from seed
+// sc.Seed + wi×banks: the engines one shared seed-counting factory (PARA
+// and the other probabilistic schemes count up from their seed) hands
+// that cell in a serial row-major walk, where every cell takes one engine
+// per bank.
+func (p *sweepPlan) grid(trh int64, srcs []source, schemes []Spec) []Row {
+	banks := int64(p.sc.Geometry.Banks())
+	rows := make([]Row, len(srcs))
+	for wi, src := range srcs {
+		rows[wi] = Row{Workload: src.name, Cells: make([]Cell, len(schemes))}
+		for si, spec := range schemes {
+			p.addCell(src, spec, p.sc.Seed+int64(wi)*banks, trh, &rows[wi].Cells[si])
+		}
+	}
+	return rows
+}
+
+// addCell schedules one protected run of src under spec, whose engines
+// start at seed; the measured cell lands in *slot. A cell the checkpoint
+// journal already holds is restored without a replay.
+func (p *sweepPlan) addCell(src source, spec Spec, seed, trh int64, slot *Cell) {
+	label := fmt.Sprintf("%s/%s trh=%d", src.name, spec.Name, trh)
 	key := p.cellKey(label)
 	var prev Cell
 	if p.ckpt.Lookup(key, &prev) {
-		// Restored from the journal: skip the replay, but still take the
-		// scheme's factory turn. A stateful factory (PARA derives each
-		// engine's seed from a global instantiation counter) must see the
-		// same build sequence as an uninterrupted run, or the cells that
-		// DO replay would compute different results and the reassembled
-		// sweep would not be byte-identical.
-		p.jobs = append(p.jobs, sched.Job{Label: label, Do: func(ctx context.Context) error {
-			if factory != nil {
-				if _, err := factory(ctx)(); err != nil {
-					return err
-				}
-			}
+		p.jobs = append(p.jobs, sched.Job{Label: label, Do: func(context.Context) error {
 			*slot = prev
 			p.obs.Counter("cells_restored_total").Inc()
 			return nil
 		}})
 		return
 	}
-	p.jobs = append(p.jobs, sched.Job{Label: label, Do: func(ctx context.Context) error {
-		b, err := base()
+	p.jobs = append(p.jobs, sched.Job{Label: label, Do: func(context.Context) error {
+		b, err := p.baseline(src)
 		if err != nil {
 			return err
 		}
-		var f mitigation.Factory
-		if factory != nil {
-			f = factory(ctx)
-		}
-		res, err := memctrl.Run(memctrl.Config{
-			Geometry: geo, Timing: p.sc.Timing,
-			Factory: f, TRH: trh, Obs: p.obs, Fault: p.fault,
-		}, gen)
+		res, err := p.replay(src, spec.factory(seed), trh)
 		if err != nil {
-			return fmt.Errorf("sim: %s/%s: %w", wname, spec.Name, err)
+			return fmt.Errorf("sim: %s/%s: %w", src.name, spec.Name, err)
 		}
 		*slot = Cell{
 			Scheme:          spec.Name,
@@ -177,118 +215,37 @@ func (p *sweepPlan) run(opt Options) error {
 	return err
 }
 
-// orderedFactory preserves a stateful mitigation.Factory's serial call
-// sequence under parallel execution. PARA's factory derives each bank's
-// RNG seed from a closure counter, so the engines a cell receives depend
-// on how many the factory built before it; orderedFactory hands cell i its
-// engines only after cells 0..i-1 have built theirs, which keeps every
-// sweep byte-identical to the serial loop it replaced. Waiting cells
-// select on the pool's context, so an aborting sweep cannot deadlock.
-//
-// This is deadlock-free because sched workers start jobs in submission
-// order: when cell i waits for its turn, every earlier cell of the same
-// scheme has already started and will either take its turn or fail —
-// failure cancels the context and releases every waiter.
-type orderedFactory struct {
-	factory mitigation.Factory
-	turns   []chan struct{} // turns[i] closed when cell i may instantiate
-}
-
-func orderFactory(f mitigation.Factory) *orderedFactory {
-	return &orderedFactory{factory: f}
-}
-
-func orderFactories(schemes []Spec) []*orderedFactory {
-	ofs := make([]*orderedFactory, len(schemes))
-	for si := range schemes {
-		ofs[si] = orderFactory(schemes[si].Factory)
-	}
-	return ofs
-}
-
-// reserve claims the next slot in the serial instantiation order (called
-// at plan-build time, in submission order) and returns the per-cell
-// factory constructor. nbanks is the number of engines memctrl.Run will
-// request — the whole batch is built in one turn, mirroring Run's setup
-// loop in the serial sweep.
-func (o *orderedFactory) reserve(nbanks int) func(ctx context.Context) mitigation.Factory {
-	if o.factory == nil {
-		return nil
-	}
-	idx := len(o.turns)
-	turn := make(chan struct{})
-	if idx == 0 {
-		close(turn)
-	}
-	o.turns = append(o.turns, turn)
-	return func(ctx context.Context) mitigation.Factory {
-		var engines []mitigation.Mitigator
-		var instErr error
-		pos := 0
-		return func() (mitigation.Mitigator, error) {
-			if engines == nil && instErr == nil {
-				select {
-				case <-o.turns[idx]:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-				engines = make([]mitigation.Mitigator, 0, nbanks)
-				for i := 0; i < nbanks; i++ {
-					m, err := o.factory()
-					if err != nil {
-						instErr = err
-						break
-					}
-					engines = append(engines, m)
-				}
-				// Pass the turn even on error, so successors never block
-				// on a cell that cannot take its turn.
-				if idx+1 < len(o.turns) {
-					close(o.turns[idx+1])
-				}
-			}
-			if instErr != nil {
-				return nil, instErr
-			}
-			m := engines[pos]
-			pos++
-			return m, nil
-		}
-	}
-}
-
-// profileRows registers one threshold's workload × scheme grid on the plan
-// and returns the row slots. bases holds the per-profile memoized
-// baselines (shared across thresholds by the scaling sweep).
-func profileRows(p *sweepPlan, sc Scale, trh int64, profiles []workload.Profile, schemes []Spec, bases []func() (memctrl.Result, error)) ([]Row, error) {
-	ofs := orderFactories(schemes)
-	nbanks := sc.Geometry.Banks()
-	rows := make([]Row, len(profiles))
-	for wi, prof := range profiles {
-		rows[wi] = Row{Workload: prof.Name, Cells: make([]Cell, len(schemes))}
-		for si, spec := range schemes {
-			gen, err := prof.Generate(sc.Geometry, sc.Timing, sc.WorkloadAccesses, sc.Seed)
-			if err != nil {
-				return nil, err
-			}
-			p.addCell(sc.Geometry, trh, spec, ofs[si].reserve(nbanks), prof.Name, gen, bases[wi], &rows[wi].Cells[si])
-		}
+// sweep measures one threshold's srcs × schemes grid on the pool.
+func sweep(sc Scale, trh int64, srcs []source, schemes []Spec, opt Options) ([]Row, error) {
+	plan := newPlan(sc, opt)
+	rows := plan.grid(trh, srcs, schemes)
+	if err := plan.run(opt); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
 
-// profileBaselines builds one generator per profile — reused for both the
-// row name and the baseline replay — and registers the memoized baselines.
-func profileBaselines(p *sweepPlan, sc Scale, profiles []workload.Profile) ([]func() (memctrl.Result, error), error) {
-	bases := make([]func() (memctrl.Result, error), len(profiles))
-	for wi, prof := range profiles {
-		gen, err := prof.Generate(sc.Geometry, sc.Timing, sc.WorkloadAccesses, sc.Seed)
+// scaling measures the counter line-up over srcs at every threshold as
+// one pool run, each source's baseline replayed once and shared across
+// thresholds, and averages each threshold's rows.
+func scaling(sc Scale, trhs []int64, srcs []source, opt Options) ([]ScalingRow, error) {
+	plan := newPlan(sc, opt)
+	perTRH := make([][]Row, len(trhs))
+	for ti, trh := range trhs {
+		schemes, err := CounterSchemes(trh, sc)
 		if err != nil {
 			return nil, err
 		}
-		bases[wi] = p.baseline(sc.Geometry, gen)
+		perTRH[ti] = plan.grid(trh, srcs, schemes)
 	}
-	return bases, nil
+	if err := plan.run(opt); err != nil {
+		return nil, err
+	}
+	out := make([]ScalingRow, len(trhs))
+	for ti, trh := range trhs {
+		out[ti] = average(trh, perTRH[ti])
+	}
+	return out, nil
 }
 
 // SweepProfilesOpts measures an explicit workload × scheme matrix: each
@@ -296,19 +253,7 @@ func profileBaselines(p *sweepPlan, sc Scale, profiles []workload.Profile) ([]fu
 // scheme via memoization) and once per scheme with the oracle enabled.
 // Cells run on the sched pool under opt.
 func SweepProfilesOpts(sc Scale, trh int64, profiles []workload.Profile, schemes []Spec, opt Options) ([]Row, error) {
-	plan := newPlan(sc, opt)
-	bases, err := profileBaselines(plan, sc, profiles)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := profileRows(plan, sc, trh, profiles, schemes, bases)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.run(opt); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return sweep(sc, trh, profileSources(sc, profiles), schemes, opt)
 }
 
 // NormalSweepOpts measures every realistic workload under every counter
@@ -329,61 +274,7 @@ func NormalSweepOpts(sc Scale, trh int64, opt Options) ([]Row, error) {
 // into one pool run under opt, and each workload's unprotected baseline is
 // replayed once and shared across every threshold.
 func ScalingNormalOpts(sc Scale, trhs []int64, opt Options) ([]ScalingRow, error) {
-	plan := newPlan(sc, opt)
-	profiles := ScalingWorkloads()
-	bases, err := profileBaselines(plan, sc, profiles)
-	if err != nil {
-		return nil, err
-	}
-	perTRH := make([][]Row, len(trhs))
-	for ti, trh := range trhs {
-		schemes, err := CounterSchemes(trh, sc)
-		if err != nil {
-			return nil, err
-		}
-		if perTRH[ti], err = profileRows(plan, sc, trh, profiles, schemes, bases); err != nil {
-			return nil, err
-		}
-	}
-	if err := plan.run(opt); err != nil {
-		return nil, err
-	}
-	out := make([]ScalingRow, len(trhs))
-	for ti, trh := range trhs {
-		out[ti] = average(trh, perTRH[ti])
-	}
-	return out, nil
-}
-
-// adversarialGrid registers one threshold's attack-suite × scheme grid on
-// the plan. names/bases are the per-pattern labels and memoized baselines
-// (shared across thresholds by the scaling sweep).
-func adversarialGrid(p *sweepPlan, geo dram.Geometry, trh int64, schemes []Spec, pats []func() trace.Generator, names []string, bases []func() (memctrl.Result, error)) []Row {
-	ofs := orderFactories(schemes)
-	nbanks := geo.Banks()
-	rows := make([]Row, len(pats))
-	for wi, mk := range pats {
-		rows[wi] = Row{Workload: names[wi], Cells: make([]Cell, len(schemes))}
-		for si, spec := range schemes {
-			p.addCell(geo, trh, spec, ofs[si].reserve(nbanks), names[wi], mk(), bases[wi], &rows[wi].Cells[si])
-		}
-	}
-	return rows
-}
-
-// adversarialBaselines builds one generator per attack pattern — reused
-// for both the row name and the baseline replay instead of constructing
-// and dropping a generator just for its Name() — and registers the
-// memoized baselines.
-func adversarialBaselines(p *sweepPlan, geo dram.Geometry, pats []func() trace.Generator) (names []string, bases []func() (memctrl.Result, error)) {
-	names = make([]string, len(pats))
-	bases = make([]func() (memctrl.Result, error), len(pats))
-	for wi, mk := range pats {
-		gen := mk()
-		names[wi] = gen.Name()
-		bases[wi] = p.baseline(geo, gen)
-	}
-	return names, bases
+	return scaling(sc, trhs, profileSources(sc, ScalingWorkloads()), opt)
 }
 
 // singleBank shrinks sc to the single-bank geometry the adversarial
@@ -405,14 +296,7 @@ func AdversarialSweepOpts(sc Scale, trh int64, opt Options) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := newPlan(oneBank, opt)
-	pats := AdversarialPatterns(oneBank)
-	names, bases := adversarialBaselines(plan, oneBank.Geometry, pats)
-	rows := adversarialGrid(plan, oneBank.Geometry, trh, schemes, pats, names, bases)
-	if err := plan.run(opt); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return sweep(oneBank, trh, patternSources(AdversarialPatterns(oneBank)), schemes, opt)
 }
 
 // ScalingAdversarialOpts measures the Fig. 9(c) sweep: average
@@ -422,23 +306,5 @@ func AdversarialSweepOpts(sc Scale, trh int64, opt Options) ([]Row, error) {
 // every threshold.
 func ScalingAdversarialOpts(sc Scale, trhs []int64, opt Options) ([]ScalingRow, error) {
 	oneBank := singleBank(sc)
-	plan := newPlan(oneBank, opt)
-	pats := AdversarialPatterns(oneBank)
-	names, bases := adversarialBaselines(plan, oneBank.Geometry, pats)
-	perTRH := make([][]Row, len(trhs))
-	for ti, trh := range trhs {
-		schemes, err := CounterSchemes(trh, oneBank)
-		if err != nil {
-			return nil, err
-		}
-		perTRH[ti] = adversarialGrid(plan, oneBank.Geometry, trh, schemes, pats, names, bases)
-	}
-	if err := plan.run(opt); err != nil {
-		return nil, err
-	}
-	out := make([]ScalingRow, len(trhs))
-	for ti, trh := range trhs {
-		out[ti] = average(trh, perTRH[ti])
-	}
-	return out, nil
+	return scaling(oneBank, trhs, patternSources(AdversarialPatterns(oneBank)), opt)
 }

@@ -2,11 +2,15 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"graphene/internal/faultinject"
 	"graphene/internal/memctrl"
 	"graphene/internal/mitigation"
+	"graphene/internal/obs"
 	"graphene/internal/sched"
 	"graphene/internal/workload"
 )
@@ -65,6 +69,10 @@ func TestAdversarialSweepMatchesSerialReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	factories := make([]mitigation.Factory, len(schemes))
+	for si, spec := range schemes {
+		factories[si] = spec.Factory(sc.Seed)
+	}
 	var want []Row
 	for _, mk := range AdversarialPatterns(oneBank) {
 		base, err := memctrl.Run(memctrl.Config{Geometry: oneBank.Geometry, Timing: oneBank.Timing}, mk())
@@ -72,10 +80,10 @@ func TestAdversarialSweepMatchesSerialReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		row := Row{Workload: mk().Name()}
-		for _, spec := range schemes {
+		for si, spec := range schemes {
 			res, err := memctrl.Run(memctrl.Config{
 				Geometry: oneBank.Geometry, Timing: oneBank.Timing,
-				Factory: spec.Factory, TRH: trh,
+				Factory: factories[si], TRH: trh,
 			}, mk())
 			if err != nil {
 				t.Fatal(err)
@@ -113,6 +121,10 @@ func TestSweepProfilesMatchesSerialReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	factories := make([]mitigation.Factory, len(schemes))
+	for si, spec := range schemes {
+		factories[si] = spec.Factory(sc.Seed)
+	}
 	var want []Row
 	for _, prof := range profiles {
 		row := Row{Workload: prof.Name}
@@ -124,14 +136,14 @@ func TestSweepProfilesMatchesSerialReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range schemes {
+		for si, spec := range schemes {
 			gen, err := prof.Generate(sc.Geometry, sc.Timing, sc.WorkloadAccesses, sc.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			res, err := memctrl.Run(memctrl.Config{
 				Geometry: sc.Geometry, Timing: sc.Timing,
-				Factory: spec.Factory, TRH: trh,
+				Factory: factories[si], TRH: trh,
 			}, gen)
 			if err != nil {
 				t.Fatal(err)
@@ -215,15 +227,15 @@ func TestProgressReportsEveryCell(t *testing.T) {
 }
 
 // TestFailingCellAbortsSweep injects a scheme whose factory fails and
-// checks the sweep surfaces the error without deadlocking — the ordered
-// factory handoff must pass the turn even when a cell cannot build its
-// engines.
+// checks the sweep surfaces the error.
 func TestFailingCellAbortsSweep(t *testing.T) {
 	sc := fastScale()
 	profiles := pick(workload.Profiles(), "mcf", "libquantum")
 	boom := errors.New("boom")
 	schemes := []Spec{
-		{Name: "broken", Factory: func() (mitigation.Mitigator, error) { return nil, boom }},
+		{Name: "broken", Factory: func(int64) mitigation.Factory {
+			return func() (mitigation.Mitigator, error) { return nil, boom }
+		}},
 	}
 	_, err := SweepProfilesOpts(sc, 50000, profiles, schemes, Options{Jobs: 4})
 	if !errors.Is(err, boom) {
@@ -249,5 +261,94 @@ func TestUnprotectedSpecRuns(t *testing.T) {
 	}
 	if c.Slowdown != 0 {
 		t.Errorf("unprotected run slowed down vs its own baseline: %g", c.Slowdown)
+	}
+}
+
+// sitePasses counts how often one unfaulted replay of src passes the named
+// fault site: a zero-length delay armed on every pass fires each time, and
+// the injector's recorder counts the firings.
+func sitePasses(t *testing.T, sc Scale, site string, src source) int64 {
+	t.Helper()
+	inj, err := faultinject.New(site + ":delay=0s:p=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	inj.SetRecorder(rec)
+	gen, err := src.gen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := memctrl.Run(memctrl.Config{Geometry: sc.Geometry, Timing: sc.Timing, Fault: inj}, gen); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Snapshot().Counters["faults_injected_total"]
+}
+
+// TestFaultInjectRetriedSweepMatchesUnfaulted: a fault that a retry absorbs
+// must leave no trace in the output. Each case injects one error halfway
+// through a replay — a baseline, a cell of the first grid row, a cell of
+// the last — at the hit where a serial sweep is in that replay, and the
+// retried sweep must deep-equal the unfaulted one at Jobs 1 and 4.
+func TestFaultInjectRetriedSweepMatchesUnfaulted(t *testing.T) {
+	sc := fastScale()
+	const trh = 50000
+	want, err := AdversarialSweepOpts(sc, trh, Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneBank := singleBank(sc)
+	srcs := patternSources(AdversarialPatterns(oneBank))
+	first, last := want[0], want[len(want)-1]
+	schemes := int64(len(first.Cells))
+
+	for _, site := range []string{faultinject.SiteReplay, faultinject.SitePartition} {
+		// A serial sweep replays each row's baseline and then its cells,
+		// all over the same stream, so row w spans (schemes+1)×passes[w].
+		passes := make([]int64, len(srcs))
+		var total int64
+		for w, src := range srcs {
+			passes[w] = sitePasses(t, oneBank, site, src)
+			total += (schemes + 1) * passes[w]
+		}
+		h0, hl := passes[0], passes[len(passes)-1]
+		cases := []struct {
+			where string
+			hit   int64
+			in    string // the failing replay, as the unretried error names it
+		}{
+			{"baseline", h0/2 + 1, "sim: baseline " + first.Workload + ":"},
+			{"first-row cell", h0 + h0/2 + 1, "sim: " + first.Workload + "/" + first.Cells[0].Scheme + ":"},
+			{"last-row cell", total - hl/2, "sim: " + last.Workload + "/" + last.Cells[schemes-1].Scheme + ":"},
+		}
+		for _, c := range cases {
+			spec := fmt.Sprintf("%s:error:%d", site, c.hit)
+			inject := func() *faultinject.Injector {
+				inj, err := faultinject.New(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return inj
+			}
+			if _, err := AdversarialSweepOpts(sc, trh, Options{Jobs: 1, Fault: inject()}); err == nil || !strings.Contains(err.Error(), c.in) {
+				t.Fatalf("%s (%s): unretried serial sweep err = %v, want a failure in %q", spec, c.where, err, c.in)
+			}
+			for _, jobs := range []int{1, 4} {
+				inj := inject()
+				rec := obs.New()
+				inj.SetRecorder(rec)
+				got, err := AdversarialSweepOpts(sc, trh, Options{Jobs: jobs, Fault: inj, Retry: sched.RetryPolicy{MaxAttempts: 3}})
+				if err != nil {
+					t.Errorf("%s (%s) jobs=%d: retried sweep failed: %v", spec, c.where, jobs, err)
+					continue
+				}
+				if n := rec.Snapshot().Counters["faults_injected_total"]; n != 1 {
+					t.Errorf("%s (%s) jobs=%d: fault fired %d times, want 1", spec, c.where, jobs, n)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s (%s) jobs=%d: retried sweep diverges from the unfaulted one:\n got  %+v\n want %+v", spec, c.where, jobs, got, want)
+				}
+			}
+		}
 	}
 }

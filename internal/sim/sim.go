@@ -8,10 +8,8 @@ import (
 	"fmt"
 
 	"graphene/internal/area"
-	"graphene/internal/cbt"
 	"graphene/internal/cra"
 	"graphene/internal/dram"
-	"graphene/internal/graphene"
 	"graphene/internal/memctrl"
 	"graphene/internal/mitigation"
 	"graphene/internal/mrloc"
@@ -19,7 +17,6 @@ import (
 	"graphene/internal/prohit"
 	"graphene/internal/security"
 	"graphene/internal/stats"
-	"graphene/internal/twice"
 	"graphene/internal/workload"
 )
 
@@ -68,10 +65,22 @@ func Full() Scale {
 	}
 }
 
-// Spec names one scheme under evaluation.
+// Spec names one scheme under evaluation. Factory builds the scheme's
+// per-bank engine factory for a run whose first engine takes seed (a
+// seed-counting factory gives the next bank seed+1, and so on); nil means
+// unprotected.
 type Spec struct {
 	Name    string
-	Factory mitigation.Factory
+	Factory func(seed int64) mitigation.Factory
+}
+
+// factory returns the engine factory for a run seeded at seed, or nil for
+// an unprotected spec.
+func (s Spec) factory(seed int64) mitigation.Factory {
+	if s.Factory == nil {
+		return nil
+	}
+	return s.Factory(seed)
 }
 
 // ParaP returns the near-complete-protection refresh probability for a
@@ -86,20 +95,44 @@ func ParaP(trh int64) (float64, error) {
 
 // CounterSchemes builds the counter-based line-up of §V-B — Graphene (K=2),
 // TWiCe, and the CBT size the paper pairs with the threshold — plus PARA at
-// its near-complete-protection probability.
+// its near-complete-protection probability. Every engine is configured by
+// BuildScheme, as in rhsim, so sc.Timing and sc.Rowpress reach all four.
 func CounterSchemes(trh int64, sc Scale) ([]Spec, error) {
-	rows := sc.Geometry.RowsPerBank
-	counters, levels := area.CBTCountersFor(trh)
+	counters, _ := area.CBTCountersFor(trh)
 	p, err := ParaP(trh)
 	if err != nil {
 		return nil, err
 	}
-	return []Spec{
-		{Name: "Graphene", Factory: graphene.Factory(graphene.Config{TRH: trh, K: 2, Rows: rows, Timing: sc.Timing})},
-		{Name: "TWiCe", Factory: twice.Factory(twice.Config{TRH: trh, Rows: rows, Timing: sc.Timing})},
-		{Name: fmt.Sprintf("CBT-%d", counters), Factory: cbt.Factory(cbt.Config{TRH: trh, Counters: counters, Levels: levels, Rows: rows, Timing: sc.Timing})},
-		{Name: fmt.Sprintf("PARA-%.5f", p), Factory: para.Factory(para.Classic(p, rows, sc.Seed))},
-	}, nil
+	lineup := []struct{ scheme, label string }{
+		{"graphene", "Graphene"},
+		{"twice", "TWiCe"},
+		{"cbt", fmt.Sprintf("CBT-%d", counters)},
+		{"para", fmt.Sprintf("PARA-%.5f", p)},
+	}
+	specs := make([]Spec, len(lineup))
+	for i, s := range lineup {
+		if specs[i], err = builtSpec(s.scheme, s.label, trh, sc); err != nil {
+			return nil, err
+		}
+	}
+	return specs, nil
+}
+
+// builtSpec wraps BuildScheme's scheme (k=2, distance 1) as a Spec labeled
+// label. The scheme is resolved once here, so a bad configuration fails
+// the line-up rather than a cell.
+func builtSpec(scheme, label string, trh int64, sc Scale) (Spec, error) {
+	if _, _, err := BuildScheme(scheme, trh, 2, 1, sc.Geometry.RowsPerBank, sc); err != nil {
+		return Spec{}, err
+	}
+	return Spec{Name: label, Factory: func(seed int64) mitigation.Factory {
+		seeded := sc
+		seeded.Seed = seed
+		// BuildScheme accepted these arguments above, and no scheme's
+		// resolution depends on the seed, so this call cannot fail.
+		f, _, _ := BuildScheme(scheme, trh, 2, 1, sc.Geometry.RowsPerBank, seeded)
+		return f
+	}}, nil
 }
 
 // ProbabilisticSchemes builds the §V-A security line-up: PARA, PRoHIT and
@@ -119,15 +152,23 @@ func ProbabilisticSchemes(trh int64, sc Scale) ([]Spec, error) {
 		tickP = 1
 	}
 	return []Spec{
-		{Name: fmt.Sprintf("PARA-%.5f", p), Factory: para.Factory(para.Classic(p, rows, sc.Seed))},
-		{Name: "PRoHIT", Factory: prohit.Factory(prohit.Config{TickRefreshP: tickP, Rows: rows, Seed: sc.Seed})},
-		{Name: "MRLoc", Factory: mrloc.Factory(mrloc.Config{BaseP: p, Rows: rows, Seed: sc.Seed})},
+		{Name: fmt.Sprintf("PARA-%.5f", p), Factory: func(seed int64) mitigation.Factory {
+			return para.Factory(para.Classic(p, rows, seed))
+		}},
+		{Name: "PRoHIT", Factory: func(seed int64) mitigation.Factory {
+			return prohit.Factory(prohit.Config{TickRefreshP: tickP, Rows: rows, Seed: seed})
+		}},
+		{Name: "MRLoc", Factory: func(seed int64) mitigation.Factory {
+			return mrloc.Factory(mrloc.Config{BaseP: p, Rows: rows, Seed: seed})
+		}},
 	}, nil
 }
 
 // CRASpec builds the CRA counter-cache scheme (§II-C survey).
 func CRASpec(trh int64, sc Scale) Spec {
-	return Spec{Name: "CRA", Factory: cra.Factory(cra.Config{TRH: trh, Rows: sc.Geometry.RowsPerBank})}
+	return Spec{Name: "CRA", Factory: func(int64) mitigation.Factory {
+		return cra.Factory(cra.Config{TRH: trh, Rows: sc.Geometry.RowsPerBank})
+	}}
 }
 
 // Cell is one (workload, scheme) measurement.

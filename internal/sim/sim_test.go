@@ -55,7 +55,7 @@ func TestCounterSchemesLineUp(t *testing.T) {
 	names := make([]string, len(specs))
 	for i, s := range specs {
 		names[i] = s.Name
-		m, err := s.Factory()
+		m, err := s.Factory(1)()
 		if err != nil {
 			t.Fatalf("%s factory: %v", s.Name, err)
 		}
@@ -369,13 +369,13 @@ func TestProbabilisticSchemesConstruct(t *testing.T) {
 		t.Fatalf("%d specs", len(specs))
 	}
 	for _, s := range specs {
-		m, err := s.Factory()
+		m, err := s.Factory(1)()
 		if err != nil || m == nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 	}
 	spec := CRASpec(50000, testScale())
-	if m, err := spec.Factory(); err != nil || m.Name() != "cra-128" {
+	if m, err := spec.Factory(1)(); err != nil || m.Name() != "cra-128" {
 		t.Fatalf("CRA spec: %v", err)
 	}
 }

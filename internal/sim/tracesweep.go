@@ -69,18 +69,12 @@ func TraceSweepOpts(sc Scale, trh int64, paths []string, opt Options) ([]Row, Sc
 	if err != nil {
 		return nil, Scale{}, err
 	}
-	plan := newPlan(eff, opt)
-	ofs := orderFactories(schemes)
-	nbanks := eff.Geometry.Banks()
-	rows := make([]Row, len(traces))
-	for wi, tr := range traces {
-		base := plan.baseline(eff.Geometry, tr.Generator())
-		rows[wi] = Row{Workload: tr.Name, Cells: make([]Cell, len(schemes))}
-		for si, spec := range schemes {
-			plan.addCell(eff.Geometry, trh, spec, ofs[si].reserve(nbanks), tr.Name, tr.Generator(), base, &rows[wi].Cells[si])
-		}
+	srcs := make([]source, len(traces))
+	for i, tr := range traces {
+		srcs[i] = source{name: tr.Name, gen: func() (trace.Generator, error) { return tr.Generator(), nil }}
 	}
-	if err := plan.run(opt); err != nil {
+	rows, err := sweep(eff, trh, srcs, schemes, opt)
+	if err != nil {
 		return nil, Scale{}, err
 	}
 	return rows, eff, nil

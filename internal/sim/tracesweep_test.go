@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"graphene/internal/dram"
+	"graphene/internal/memctrl"
+	"graphene/internal/mitigation"
 	"graphene/internal/trace"
 	"graphene/internal/workload"
 )
@@ -121,5 +123,61 @@ func TestLoadTracesDefaultGeometry(t *testing.T) {
 	}
 	if eff.Geometry != dram.Default() {
 		t.Errorf("geometry = %+v, want dram.Default()", eff.Geometry)
+	}
+}
+
+// TestTraceSweepRowpressMatchesBuildScheme: with Scale.Rowpress set, each
+// counter cell of a trace sweep over a RowPress-double trace must be the
+// Result memctrl.Run gives under BuildScheme's factory — the one rhsim
+// replays with — so the sweep's trackers weigh open-row dwell exactly as
+// rhsim's do.
+func TestTraceSweepRowpressMatchesBuildScheme(t *testing.T) {
+	sc := fastScale()
+	sc.Rowpress = true
+	const trh = 12_500
+	gen, _, err := BuildWorkload("rowpress-double", sc, trh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeTraceFile(t, t.TempDir(), "rowpress-double.bin", gen, true)
+	rows, eff, err := TraceSweepOpts(sc, trh, []string{path}, Options{Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(f mitigation.Factory, trh int64) memctrl.Result {
+		t.Helper()
+		res, err := memctrl.Run(memctrl.Config{Geometry: eff.Geometry, Timing: eff.Timing, Factory: f, TRH: trh}, tr.Generator())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base := run(nil, 0)
+	schemes := []string{"graphene", "twice", "cbt", "para"}
+	if len(rows) != 1 || len(rows[0].Cells) != len(schemes) {
+		t.Fatalf("sweep shape %+v, want one row of %d cells", rows, len(schemes))
+	}
+	for i, name := range schemes {
+		f, _, err := BuildScheme(name, trh, 2, 1, eff.Geometry.RowsPerBank, eff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := run(f, trh)
+		got := rows[0].Cells[i]
+		want := Cell{
+			Scheme:          got.Scheme,
+			RefreshOverhead: res.RefreshOverhead(),
+			Slowdown:        res.SlowdownVs(base),
+			VictimRows:      res.RowsVictim,
+			NRRCommands:     res.NRRCommands,
+			Flips:           len(res.Flips),
+		}
+		if got != want {
+			t.Errorf("%s: sweep cell %+v, want BuildScheme's %+v", name, got, want)
+		}
 	}
 }

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve fuzz fuzz-list race stress tables security examples check
+.PHONY: all fmt build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve fuzz fuzz-list race tables security examples check
 
 all: check
 
@@ -141,20 +141,16 @@ bench-serve:
 	fi
 	rm -f BENCH_serve.txt
 
-# Race detector over the packages that run per-bank goroutines and the
-# sweep worker pool, plus the mitigation stack fuzz seeds (FuzzStackAppend
-# runs its corpus as regular tests here). -short skips the tens-of-seconds
-# full-scale run, which would dominate `make check` under the race
-# detector's overhead.
+# Race detector over the packages with concurrent replay — the block
+# router behind every memctrl.Run and RunBlocks, the per-bank goroutines,
+# the sweep pool, the daemon and its load generator, the sweep CLI — plus
+# the mitigation stack fuzz seeds (FuzzStackAppend runs its corpus as
+# regular tests here). Three runs each, so a test that fails only
+# sometimes fails here rather than in a later tier-1 run. -short skips the
+# tens-of-seconds full-scale run, which would dominate `make check` under
+# the race detector's overhead.
 race:
-	$(GO) test -race -short ./internal/faultinject/... ./internal/memctrl/... ./internal/sim/... ./internal/sched/... ./internal/mitigation/... ./internal/trace/... ./internal/serve/... ./internal/obs/... ./cmd/rhsimd/... ./cmd/rhload/...
-
-# Determinism stress: the race detector over the packages with concurrent
-# replay — the block router behind every memctrl.Run and RunBlocks, the
-# sweep pool, the daemon and the sweep CLI — three runs each, so a test
-# that fails only sometimes fails here rather than in a later tier-1 run.
-stress:
-	$(GO) test -race -short -count=3 ./internal/memctrl ./internal/trace ./internal/sched ./internal/serve ./internal/sim ./cmd/rhsimd ./cmd/rhsweep
+	$(GO) test -race -short -count=3 ./internal/faultinject/... ./internal/memctrl/... ./internal/sim/... ./internal/sched/... ./internal/mitigation/... ./internal/trace/... ./internal/serve/... ./internal/obs/... ./cmd/rhsimd/... ./cmd/rhload/... ./cmd/rhsweep/...
 
 # Short exploratory fuzz passes over the core invariants.
 fuzz:
@@ -197,4 +193,4 @@ examples:
 	$(GO) run ./examples/pagepolicy
 	$(GO) run ./examples/observability
 
-check: fmt fuzz-list build vet test race stress bench-sweep bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve
+check: fmt fuzz-list build vet test race bench-sweep bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve

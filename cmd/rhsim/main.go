@@ -79,7 +79,7 @@ func main() {
 	flag.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
 
-	rec, closeObs, err := obs.NewFromPaths(o.metrics, o.events)
+	rec, closeObs, err := obs.NewFromPaths(o.metrics, o.events, o.pprof)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rhsim:", err)
 		os.Exit(2)

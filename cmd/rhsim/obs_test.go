@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -95,7 +97,7 @@ func TestRunWritesEventAndMetricsFiles(t *testing.T) {
 	dir := t.TempDir()
 	mpath := filepath.Join(dir, "metrics.json")
 	epath := filepath.Join(dir, "events.jsonl")
-	rec, closeObs, err := obs.NewFromPaths(mpath, epath)
+	rec, closeObs, err := obs.NewFromPaths(mpath, epath, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,5 +147,46 @@ func TestRunWritesEventAndMetricsFiles(t *testing.T) {
 	}
 	if snap.Counters["nrr_commands_total"] != summaryInt(t, sb.String(), "victim refreshes", 0) {
 		t.Errorf("snapshot disagrees with printed summary")
+	}
+}
+
+// TestRunDebugOnlyServesLiveMetrics drives the -pprof wiring with no
+// -metrics or -events file: the Recorder is still live, so the debug
+// endpoint's /metrics shows the counters the run incremented rather than
+// an empty snapshot.
+func TestRunDebugOnlyServesLiveMetrics(t *testing.T) {
+	const addr = "127.0.0.1:0"
+	rec, closeObs, err := obs.NewFromPaths("", "", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbg, err := obs.ServeDebug(addr, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbg.Shutdown(context.Background())
+	var sb strings.Builder
+	if _, err := run(&sb, rec, options{
+		workload: "S3", scheme: "graphene", trh: 2000,
+		k: 2, distance: 1, acts: 5_000, windows: 0.2, seed: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := closeObs(); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + dbg.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("/metrics is not a JSON snapshot: %v", err)
+	}
+	want := summaryInt(t, sb.String(), "victim refreshes", 0)
+	if got := snap.Counters["nrr_commands_total"]; got == 0 || got != want {
+		t.Errorf("/metrics nrr_commands_total = %d, summary printed %d (want equal and non-zero)", got, want)
 	}
 }

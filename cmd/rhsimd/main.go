@@ -76,14 +76,9 @@ func main() {
 // address on ready (when non-nil), serves until stop delivers, then
 // drains and reports.
 func run(o options, logw io.Writer, ready chan<- string, stop <-chan os.Signal) error {
-	rec, closeObs, err := obs.NewFromPaths(o.metrics, o.events)
+	rec, closeObs, err := obs.NewFromPaths(o.metrics, o.events, o.pprof)
 	if err != nil {
 		return err
-	}
-	// The daemon's /metrics endpoint needs a live Recorder even when no
-	// -metrics/-events files were asked for.
-	if rec == nil && o.pprof != "" {
-		rec = obs.New()
 	}
 
 	var ck *sched.Checkpoint

@@ -149,7 +149,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rhsweep:", err)
 		os.Exit(2)
 	}
-	rec, closeObs, err := obs.NewFromPaths(*metrics, *events)
+	rec, closeObs, err := obs.NewFromPaths(*metrics, *events, *pprof)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rhsweep:", err)
 		os.Exit(2)

@@ -19,13 +19,28 @@ import (
 	"graphene/internal/graphene"
 	"graphene/internal/memctrl"
 	"graphene/internal/pagepolicy"
+	"graphene/internal/sim"
 	"graphene/internal/workload"
 )
 
 func main() {
-	geo := dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 2, RowsPerBank: 64 * 1024}
-	timing := dram.DDR4()
+	sc := sim.Quick()
+	sc.WorkloadAccesses = 120_000
+	timing := sc.Timing
 	const trh = 50_000
+
+	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Println("mcf-like workload (120K requests, burst 4) through each policy:")
+	fmt.Fprintln(tw, "policy\trequests\tACTs\trow-buffer hits\tGraphene victim refreshes")
+	cells, err := sim.PagePolicySweep(sc, trh, "mcf", "graphene", 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, c := range cells {
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%.1f%%\t%d\n",
+			c.Policy, c.Requests, c.ACTs, 100*c.RowBufferHits, c.NRRCommands)
+	}
+	tw.Flush()
 
 	mo4 := func() pagepolicy.Policy {
 		p, err := pagepolicy.NewMinimalistOpen(4)
@@ -43,35 +58,6 @@ func main() {
 		{"open-page", pagepolicy.NewOpenPage},
 	}
 
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Println("mcf-like workload (120K requests, burst 4) through each policy:")
-	fmt.Fprintln(tw, "policy\trequests\tACTs\trow-buffer hits\tGraphene victim refreshes")
-	prof, err := workload.ProfileByName("mcf")
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, pol := range policies {
-		reqs, err := prof.GenerateRequests(geo, timing, 120_000, 1, 4)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fe, err := pagepolicy.NewFrontend(reqs, pol.factory, geo.Banks(), timing)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := memctrl.Run(memctrl.Config{
-			Geometry: geo, Timing: timing,
-			Factory: graphene.Factory(graphene.Config{TRH: trh, K: 2, Rows: geo.RowsPerBank, Timing: timing}),
-			TRH:     trh,
-		}, fe)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.1f%%\t%d\n",
-			pol.name, fe.Requests(), res.ACTs, 100*fe.RowBufferHitRate(), res.NRRCommands)
-	}
-	tw.Flush()
-
 	fmt.Println("\nalternating two-row attack (200K requests) through each policy:")
 	fmt.Fprintln(tw, "policy\tACTs reaching DRAM\tGraphene victim refreshes\tbit flips")
 	for _, pol := range policies {
@@ -80,9 +66,9 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := memctrl.Run(memctrl.Config{
-			Geometry: dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: geo.RowsPerBank},
+			Geometry: dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: sc.Geometry.RowsPerBank},
 			Timing:   timing,
-			Factory:  graphene.Factory(graphene.Config{TRH: trh, K: 2, Rows: geo.RowsPerBank, Timing: timing}),
+			Factory:  graphene.Factory(graphene.Config{TRH: trh, K: 2, Rows: sc.Geometry.RowsPerBank, Timing: timing}),
 			TRH:      trh,
 		}, fe)
 		if err != nil {

@@ -36,10 +36,10 @@ type Config struct {
 	Factory mitigation.Factory
 
 	// TRH enables the ground-truth oracle when positive. OracleDistance
-	// and Mu configure its disturbance model (defaults: ±1, uniform).
+	// sets its disturbance reach (default ±1); every row within it is
+	// disturbed equally (the uniform μ model).
 	TRH            int64
 	OracleDistance int
-	Mu             mitigation.MuModel
 
 	// Remap is the device's logical→physical row mapping (nil = identity).
 	// Protection schemes observe logical addresses; disturbance physics,
@@ -305,7 +305,7 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 		}
 		s.obs = newBankObs(cfg.Obs, i, cfg.Geometry.RowsPerBank, s.mit)
 		if cfg.TRH > 0 {
-			if s.oracle, err = hammer.NewOracle(cfg.Geometry.RowsPerBank, cfg.TRH, cfg.OracleDistance, cfg.Mu); err != nil {
+			if s.oracle, err = hammer.NewOracle(cfg.Geometry.RowsPerBank, cfg.TRH, cfg.OracleDistance, nil); err != nil {
 				return Result{}, err
 			}
 			// Duration-weighted disturbance (RowPress): dwell normalizes

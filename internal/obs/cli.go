@@ -10,15 +10,17 @@ import (
 )
 
 // NewFromPaths wires a Recorder for command-line use from the shared
-// -metrics / -events flag values: eventsPath receives JSON-line events as
-// they happen, metricsPath receives one indented JSON metrics snapshot
-// when the returned close function runs. A path of "stderr" or "-"
-// selects standard error (never stdout — the CLIs own stdout for their
-// CSV/JSON/report output); anything else creates or truncates a file.
-// When both paths are empty the Recorder is nil — the no-op default —
-// and close does nothing.
-func NewFromPaths(metricsPath, eventsPath string) (*Recorder, func() error, error) {
-	if metricsPath == "" && eventsPath == "" {
+// -metrics / -events / -pprof flag values: eventsPath receives JSON-line
+// events as they happen, metricsPath receives one indented JSON metrics
+// snapshot when the returned close function runs. A path of "stderr" or
+// "-" selects standard error (never stdout — the CLIs own stdout for their
+// CSV/JSON/report output); anything else creates or truncates a file. A
+// non-empty debugAddr, where the caller serves DebugMux, makes the
+// Recorder live even without either path, so that endpoint's /metrics
+// shows the run. When all three are empty the Recorder is nil — the no-op
+// default — and close does nothing.
+func NewFromPaths(metricsPath, eventsPath, debugAddr string) (*Recorder, func() error, error) {
+	if metricsPath == "" && eventsPath == "" && debugAddr == "" {
 		return nil, func() error { return nil }, nil
 	}
 	rec := New()

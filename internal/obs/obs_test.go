@@ -194,9 +194,18 @@ func TestCollectByKind(t *testing.T) {
 
 func TestNewFromPaths(t *testing.T) {
 	t.Run("disabled", func(t *testing.T) {
-		rec, closeFn, err := NewFromPaths("", "")
+		rec, closeFn, err := NewFromPaths("", "", "")
 		if err != nil || rec != nil {
 			t.Fatalf("rec=%v err=%v, want nil/nil", rec, err)
+		}
+		if err := closeFn(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("debug-only", func(t *testing.T) {
+		rec, closeFn, err := NewFromPaths("", "", "127.0.0.1:0")
+		if err != nil || rec == nil {
+			t.Fatalf("rec=%v err=%v, want a live Recorder for the debug endpoint", rec, err)
 		}
 		if err := closeFn(); err != nil {
 			t.Fatal(err)
@@ -206,7 +215,7 @@ func TestNewFromPaths(t *testing.T) {
 		dir := t.TempDir()
 		mpath := filepath.Join(dir, "metrics.json")
 		epath := filepath.Join(dir, "events.jsonl")
-		rec, closeFn, err := NewFromPaths(mpath, epath)
+		rec, closeFn, err := NewFromPaths(mpath, epath, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +245,7 @@ func TestNewFromPaths(t *testing.T) {
 		}
 	})
 	t.Run("bad-path", func(t *testing.T) {
-		if _, _, err := NewFromPaths("", filepath.Join(t.TempDir(), "no", "such", "dir", "e")); err == nil {
+		if _, _, err := NewFromPaths("", filepath.Join(t.TempDir(), "no", "such", "dir", "e"), ""); err == nil {
 			t.Error("unwritable events path accepted")
 		}
 	})

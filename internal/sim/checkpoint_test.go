@@ -23,9 +23,10 @@ func resumeProfiles(t *testing.T) []workload.Profile {
 // TestCheckpointResumeMatchesUninterrupted is the acceptance scenario: a
 // sweep killed mid-run by an injected fault, restarted against the same
 // checkpoint journal, must reassemble results identical to an
-// uninterrupted serial run — including the PARA cells, whose engines are
-// seeded by a global instantiation counter that restored cells must still
-// advance.
+// uninterrupted serial run — including the PARA cells. Each cell's seed is
+// fixed when the sweep is planned (the scale's seed plus the row index
+// times the bank count), so a cell that re-runs after the restart draws
+// the same engines whether or not the cells before it were restored.
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	sc := fastScale()
 	const trh = 50000

@@ -16,6 +16,7 @@ type PolicyCell struct {
 	ACTs            int64
 	RowBufferHits   float64 // fraction of requests served without an ACT
 	RefreshOverhead float64
+	NRRCommands     int64 // victim-refresh commands issued
 	VictimRows      int64
 	Flips           int
 }
@@ -74,6 +75,7 @@ func PagePolicySweep(sc Scale, trh int64, profileName, schemeName string, meanBu
 			ACTs:            res.ACTs,
 			RowBufferHits:   fe.RowBufferHitRate(),
 			RefreshOverhead: res.RefreshOverhead(),
+			NRRCommands:     res.NRRCommands,
 			VictimRows:      res.RowsVictim,
 			Flips:           len(res.Flips),
 		})

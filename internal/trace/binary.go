@@ -56,10 +56,11 @@ import (
 // reader can never silently misparse a v2 stream (the magic differs).
 //
 // Every field a hostile stream controls is bounded before allocation
-// (name length, segment payload size, bank index), decoded values are
-// checked against the shared limits in io.go, and the header's total must
-// match the decoded count — so a torn or truncated tail is always an
-// error, never a silently short trace.
+// (name length, segment payload size, bank index), every varint must fit
+// 64 bits under binary.Uvarint's rule, decoded values are checked against
+// the shared limits in io.go, and the header's total must match the
+// decoded count — so a torn or truncated tail is always an error, never a
+// silently short trace.
 
 var (
 	binaryMagic   = []byte("RHTB1\n")
@@ -378,13 +379,6 @@ func SkipBinaryPrefix(r *bufio.Reader, n int) error {
 
 // ---------------------------------------------------------------- reader
 
-// segBlock records one decoded block of the current segment, for
-// validating the segment's run list against its blocks.
-type segBlock struct {
-	bank  int
-	count int64
-}
-
 // BlockReader streams a binary trace as per-bank blocks, skipping the
 // global-order reconstruction — the ingest path for bank-parallel replay
 // (memctrl.RunBlocks). The header is read eagerly, so Name, Banks, and
@@ -408,22 +402,29 @@ type BlockReader struct {
 	// complete, so a journaled segment is never a torn one.
 	OnSegment func(payload []byte) error
 
-	prevRow   []int64
-	prevGap   []int64
-	prevDwell []int64 // advances only across dwell-carrying segments
+	state []bankState // per-bank state, grown to the highest bank a block names
 
 	payload     []byte // current segment bytes, reused
 	off         int    // decode cursor within payload
 	segOpen     bool   // a segment's run list is still pending
 	segHasDwell bool   // current segment carries the dwell column
 	blocksLeft  int    // blocks not yet returned from the current segment
+	lastBank    int    // bank of the current segment's latest block, -1 before its first
 	segAccs     int64  // accesses decoded from the current segment
-	segBlocks   []segBlock
-	consumed    []int64 // runList's per-bank accounting, reused across segments
 
 	decoded  int64
 	segments int
 	done     bool
+}
+
+// bankState is one bank's decode state. row, gap and dwell are the delta
+// bases of its columns, carried across segments (dwell advances only
+// across dwell-carrying segments). left counts down the accesses of the
+// bank's block in the open segment that the run list has yet to replay;
+// it is zero for every bank between segments.
+type bankState struct {
+	row, gap, dwell int64
+	left            int64
 }
 
 // NewBlockReader checks the magic and reads the header. A stream that
@@ -500,13 +501,45 @@ func (br *BlockReader) Decoded() int64 { return br.decoded }
 // far (the count of OnSegment firings, whether or not the hook is set).
 func (br *BlockReader) Segments() int { return br.segments }
 
+// uvarintAt decodes the unsigned varint at p[off:] and returns it with
+// the offset just past it, or a negative offset when the varint is
+// truncated or overflows 64 bits. The overflow rule is binary.Uvarint's:
+// the tenth byte may only be 0 or 1. Every varint inside a segment payload
+// decodes here. The first byte is peeled off the loop, so a one-byte
+// varint, the common small delta, returns at once and a longer one reads
+// no byte twice; the function stays within the inliner's budget, which
+// the column loop depends on.
+func uvarintAt(p []byte, off int) (uint64, int) {
+	if off >= len(p) {
+		return 0, -1
+	}
+	v := uint64(p[off])
+	off++
+	if v < 0x80 {
+		return v, off
+	}
+	v &= 0x7f
+	for s := uint(7); off < len(p); s += 7 {
+		b := p[off]
+		off++
+		if s == 63 && b > 1 {
+			break
+		}
+		v |= uint64(b&0x7f) << s
+		if b < 0x80 {
+			return v, off
+		}
+	}
+	return 0, -1
+}
+
 // uvarint decodes an unsigned varint from the current payload.
 func (br *BlockReader) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(br.payload[br.off:])
-	if n <= 0 {
+	v, next := uvarintAt(br.payload, br.off)
+	if next < 0 {
 		return 0, binErrf("segment: truncated %s", what)
 	}
-	br.off += n
+	br.off = next
 	return v, nil
 }
 
@@ -551,13 +584,13 @@ func (br *BlockReader) nextSegment() error {
 	}
 	br.segOpen = true
 	br.blocksLeft = int(nblocks)
+	br.lastBank = -1
 	br.segAccs = 0
-	br.segBlocks = br.segBlocks[:0]
 	return nil
 }
 
 // blockHead parses and validates the bank/count header of the next block
-// in the open segment, growing the per-bank delta state to cover the bank.
+// in the open segment, growing the per-bank state to cover the bank.
 func (br *BlockReader) blockHead() (bank, count int, err error) {
 	bank64, err := br.uvarint("bank")
 	if err != nil {
@@ -570,7 +603,7 @@ func (br *BlockReader) blockHead() (bank, count int, err error) {
 	if bank >= br.banks {
 		return 0, 0, binErrf("segment: block for bank %d, header has %d banks", bank, br.banks)
 	}
-	if n := len(br.segBlocks); n > 0 && br.segBlocks[n-1].bank >= bank {
+	if bank <= br.lastBank {
 		return 0, 0, binErrf("segment: bank %d out of order (blocks must ascend)", bank)
 	}
 	count64, err := br.uvarint("access count")
@@ -583,10 +616,8 @@ func (br *BlockReader) blockHead() (bank, count int, err error) {
 	if count64 == 0 || count64 > segmentAccs || br.segAccs+int64(count64) > segmentAccs {
 		return 0, 0, binErrf("segment: bad block length %d (segment limit %d accesses)", count64, segmentAccs)
 	}
-	for len(br.prevRow) <= bank {
-		br.prevRow = append(br.prevRow, 0)
-		br.prevGap = append(br.prevGap, 0)
-		br.prevDwell = append(br.prevDwell, 0)
+	for len(br.state) <= bank {
+		br.state = append(br.state, bankState{})
 	}
 	return bank, int(count64), nil
 }
@@ -600,14 +631,6 @@ func resize[T any](s []T, n int) []T {
 		return make([]T, n, n+n/8)
 	}
 	return s[:n]
-}
-
-// blockDone records a fully decoded block in the segment accounting.
-func (br *BlockReader) blockDone(bank, count int) {
-	br.segBlocks = append(br.segBlocks, segBlock{bank: bank, count: int64(count)})
-	br.blocksLeft--
-	br.segAccs += int64(count)
-	br.decoded += int64(count)
 }
 
 // ColBlock is one bank's slice of a segment in columnar layout: Rows[i] at
@@ -658,199 +681,110 @@ func (br *BlockReader) NextCols(buf ColBlock) (ColBlock, error) {
 }
 
 // decodeBlockCols decodes one block from the open segment into buf's
-// columns.
+// columns and sets its bank's run-list countdown to the block length.
 func (br *BlockReader) decodeBlockCols(buf ColBlock) (ColBlock, error) {
 	bank, count, err := br.blockHead()
 	if err != nil {
 		return ColBlock{}, err
 	}
-	rows := resize(buf.Rows, count)
-	gaps := resize(buf.Gaps, count)
-	// The column loops below are the decoder's per-access hot path — the
-	// throughput `make bench-trace` gates — so the varints decode inline
-	// with a single-byte fast path (most deltas are small) instead of
-	// through the method helpers, and the cursor lives in a local.
-	p, off := br.payload, br.off
-	prev := br.prevRow[bank]
-	for i := range rows {
-		if off >= len(p) {
-			return ColBlock{}, binErrf("segment: truncated row delta")
-		}
-		c := p[off]
-		off++
-		u := uint64(c)
-		if c >= 0x80 {
-			u &= 0x7f
-			for shift := uint(7); ; shift += 7 {
-				if off >= len(p) || shift > 63 {
-					return ColBlock{}, binErrf("segment: truncated row delta")
-				}
-				c = p[off]
-				off++
-				u |= uint64(c&0x7f) << shift
-				if c < 0x80 {
-					break
-				}
-			}
-		}
-		row := prev + (int64(u>>1) ^ -int64(u&1)) // zigzag decode
-		if row < 0 || row > MaxRow {
-			return ColBlock{}, binErrf("segment: %w", checkLimits(int64(bank), row, 0))
-		}
-		prev = row
-		rows[i] = int32(row)
+	st := &br.state[bank]
+	blk := ColBlock{Bank: bank, Rows: resize(buf.Rows, count), Gaps: resize(buf.Gaps, count), Dwells: buf.Dwells[:0]}
+	off := br.off
+	if st.row, off, err = decodeDeltas(blk.Rows, br.payload, off, st.row, MaxRow, "row"); err != nil {
+		return ColBlock{}, err
 	}
-	br.prevRow[bank] = prev
-	prev = br.prevGap[bank]
-	for i := range gaps {
-		if off >= len(p) {
-			return ColBlock{}, binErrf("segment: truncated gap delta")
-		}
-		c := p[off]
-		off++
-		u := uint64(c)
-		if c >= 0x80 {
-			u &= 0x7f
-			for shift := uint(7); ; shift += 7 {
-				if off >= len(p) || shift > 63 {
-					return ColBlock{}, binErrf("segment: truncated gap delta")
-				}
-				c = p[off]
-				off++
-				u |= uint64(c&0x7f) << shift
-				if c < 0x80 {
-					break
-				}
-			}
-		}
-		gap := prev + (int64(u>>1) ^ -int64(u&1))
-		if gap < 0 {
-			return ColBlock{}, binErrf("segment: %w", checkLimits(int64(bank), 0, gap))
-		}
-		prev = gap
-		gaps[i] = dram.Time(gap)
+	if st.gap, off, err = decodeDeltas(blk.Gaps, br.payload, off, st.gap, MaxGap, "gap"); err != nil {
+		return ColBlock{}, err
 	}
-	br.prevGap[bank] = prev
-	dwells := buf.Dwells[:0]
 	if br.segHasDwell {
-		dwells = resize(dwells, count)
-		prev = br.prevDwell[bank]
-		for i := range dwells {
-			if off >= len(p) {
-				return ColBlock{}, binErrf("segment: truncated dwell delta")
-			}
-			c := p[off]
-			off++
-			u := uint64(c)
-			if c >= 0x80 {
-				u &= 0x7f
-				for shift := uint(7); ; shift += 7 {
-					if off >= len(p) || shift > 63 {
-						return ColBlock{}, binErrf("segment: truncated dwell delta")
-					}
-					c = p[off]
-					off++
-					u |= uint64(c&0x7f) << shift
-					if c < 0x80 {
-						break
-					}
-				}
-			}
-			dwell := prev + (int64(u>>1) ^ -int64(u&1))
-			if dwell < 0 {
-				return ColBlock{}, binErrf("segment: %w", checkDwell(dwell))
-			}
-			prev = dwell
-			dwells[i] = dram.Time(dwell)
+		blk.Dwells = resize(blk.Dwells, count)
+		if st.dwell, off, err = decodeDeltas(blk.Dwells, br.payload, off, st.dwell, MaxDwell, "dwell"); err != nil {
+			return ColBlock{}, err
 		}
-		br.prevDwell[bank] = prev
 	}
 	br.off = off
-	br.blockDone(bank, count)
-	return ColBlock{Bank: bank, Rows: rows, Gaps: gaps, Dwells: dwells}, nil
+	st.left = int64(count)
+	br.lastBank = bank
+	br.blocksLeft--
+	br.segAccs += int64(count)
+	br.decoded += int64(count)
+	return blk, nil
 }
 
-// runList parses the segment's run list, validating it against segBlocks:
-// every run must name a bank with a block in this segment, and per bank
-// the run lengths must sum to exactly the block length. When collect is
-// set the runs are appended to dst[:0] (ReadBinary needs them to
-// reconstruct global order); the block-ingest path skips that. On any
-// error the reader is poisoned — callers must not continue decoding.
+// decodeDeltas decodes one column: len(dst) zigzag varint deltas from
+// p[off:], each added to the running value that starts at prev and
+// checked against [0, limit]. It returns the last value and the offset
+// past the column; what names the column in errors. This loop is the
+// decoder's per-access hot path, the throughput `make bench-trace` gates.
+func decodeDeltas[T int32 | dram.Time](dst []T, p []byte, off int, prev, limit int64, what string) (int64, int, error) {
+	for i := range dst {
+		u, next := uvarintAt(p, off)
+		if next < 0 {
+			return 0, 0, binErrf("segment: truncated %s delta", what)
+		}
+		off = next
+		v := prev + (int64(u>>1) ^ -int64(u&1)) // zigzag decode
+		// One unsigned compare: a negative v wraps above any limit.
+		if uint64(v) > uint64(limit) {
+			return 0, 0, binErrf("segment: %s %d out of range [0, %d]", what, v, limit)
+		}
+		prev = v
+		dst[i] = T(v)
+	}
+	return prev, off, nil
+}
+
+// runList parses the open segment's run list and checks it against the
+// segment's blocks by counting down: each run draws its length from its
+// bank's left, so a run for a bank without a block in the segment, or one
+// that overdraws its bank's block, fails. Since no left goes below zero,
+// runs that total the segment's accesses leave every bank at exactly zero
+// — each block replayed in full, and the countdown ready for the next
+// segment. When collect is set the runs are appended to dst[:0]
+// (ReadBinary needs them to reconstruct global order); the block-ingest
+// path skips that. On any error the reader is poisoned — callers must not
+// continue decoding.
 func (br *BlockReader) runList(dst []run, collect bool) ([]run, error) {
 	dst = dst[:0]
 	nruns, err := br.uvarint("run count")
 	if err != nil {
 		return nil, err
 	}
-	if nruns == 0 || nruns > uint64(maxSegmentBytes) {
+	// Every run replays at least one access.
+	if nruns == 0 || nruns > uint64(br.segAccs) {
 		return nil, binErrf("segment: bad run count %d", nruns)
 	}
-	// consumed is reused across segments (zeroed on every exit path below);
-	// a dense slice beats a map at typical run counts — one short run per
-	// couple of accesses.
-	if br.consumed == nil {
-		br.consumed = make([]int64, br.banks)
-	}
-	named := 0
-	p, off := br.payload, br.off
+	var replayed int64
+	st, p, off := br.state, br.payload, br.off
 	for i := uint64(0); i < nruns; i++ {
-		var vals [2]uint64 // bank, length — same inline varint as decodeBlockCols
-		for f := 0; f < 2; f++ {
-			if off >= len(p) {
-				return nil, binErrf("segment: truncated run list")
-			}
-			c := p[off]
-			off++
-			u := uint64(c)
-			if c >= 0x80 {
-				u &= 0x7f
-				for shift := uint(7); ; shift += 7 {
-					if off >= len(p) || shift > 63 {
-						return nil, binErrf("segment: truncated run list")
-					}
-					c = p[off]
-					off++
-					u |= uint64(c&0x7f) << shift
-					if c < 0x80 {
-						break
-					}
-				}
-			}
-			vals[f] = u
+		bank, next := uvarintAt(p, off)
+		if next < 0 {
+			return nil, binErrf("segment: truncated run list")
 		}
-		bank64, length := vals[0], vals[1]
-		if bank64 >= uint64(br.banks) {
-			return nil, binErrf("segment: run for bank %d, header has %d banks", bank64, br.banks)
+		n, next := uvarintAt(p, next)
+		if next < 0 {
+			return nil, binErrf("segment: truncated run list")
 		}
-		if length == 0 {
+		off = next
+		if n == 0 {
 			return nil, binErrf("segment: zero-length run")
 		}
-		if br.consumed[bank64] == 0 {
-			named++
+		if bank >= uint64(len(st)) || n > uint64(st[bank].left) {
+			return nil, binErrf("segment: run of %d accesses for bank %d overdraws the bank's block", n, bank)
 		}
-		br.consumed[bank64] += int64(length)
+		st[bank].left -= int64(n)
+		replayed += int64(n)
 		if collect {
-			dst = append(dst, run{bank: int(bank64), n: int64(length)})
+			dst = append(dst, run{bank: int(bank), n: int64(n)})
 		}
+	}
+	if off != len(p) {
+		return nil, binErrf("segment: %d trailing bytes", len(p)-off)
+	}
+	if replayed != br.segAccs {
+		return nil, binErrf("segment: runs replay %d accesses, blocks carry %d", replayed, br.segAccs)
 	}
 	br.off = off
-	if br.off != len(br.payload) {
-		return nil, binErrf("segment: %d trailing bytes", len(br.payload)-br.off)
-	}
-	if named != len(br.segBlocks) {
-		return nil, binErrf("segment: run list names %d banks, blocks cover %d", named, len(br.segBlocks))
-	}
-	for _, sb := range br.segBlocks {
-		if br.consumed[sb.bank] != sb.count {
-			return nil, binErrf("segment: runs replay %d accesses of bank %d, block carries %d", br.consumed[sb.bank], sb.bank, sb.count)
-		}
-	}
-	// All named banks are segment banks (named == len(segBlocks) and every
-	// segment bank is named with a non-zero count), so this zeroes the
-	// whole slice back for the next segment.
-	for _, sb := range br.segBlocks {
-		br.consumed[sb.bank] = 0
-	}
 	br.segments++
 	if br.OnSegment != nil {
 		if err := br.OnSegment(br.payload); err != nil {
@@ -876,36 +810,37 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	prealloc := br.total
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20 // cap what a hostile header can make us allocate up front
-	}
+	prealloc := min(br.total, 1<<20) // cap what a hostile header can make us allocate up front
 	out := make([]Access, 0, prealloc)
-	// Per-bank pending columns of the open segment, with a read cursor per
-	// bank, and a pool recycling the block buffers across segments so the
+	// The open segment's blocks, and per bank the part of its block that
+	// no run has replayed yet, grown to the highest bank a block names.
+	// Block buffers are recycled by position across segments, so the
 	// steady state allocates nothing per block.
-	cols := make([]ColBlock, br.banks)
-	cur := make([]int64, br.banks)
-	var pool []ColBlock
+	var blocks, tails []ColBlock
 	var runs []run
 	for {
 		if br.blocksLeft > 0 {
 			var buf ColBlock
-			if n := len(pool); n > 0 {
-				buf, pool = pool[n-1], pool[:n-1]
+			if n := len(blocks); n < cap(blocks) {
+				buf = blocks[:n+1][n] // this position's buffer from an earlier segment
 			}
 			blk, err := br.decodeBlockCols(buf)
 			if err != nil {
 				return nil, err
 			}
-			cols[blk.Bank] = blk
+			blocks = append(blocks, blk)
+			for len(tails) <= blk.Bank {
+				tails = append(tails, ColBlock{})
+			}
+			tails[blk.Bank] = blk
 			continue
 		}
 		if br.segOpen {
 			// Segment complete: apply its runs to recover global order.
-			// runList guarantees every run's bank has a block in this
-			// segment and the per-bank run lengths sum to exactly the block
-			// lengths, so the copies below can never run past a column.
+			// runList guarantees every run draws on a block of this segment
+			// and no more than the block has left, so the copies below can
+			// never run past a column, and together they replay every block
+			// in full.
 			segAccs := br.segAccs
 			runs, err = br.runList(runs, true)
 			if err != nil {
@@ -921,32 +856,25 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 			}
 			out = out[:base+int(segAccs)]
 			for _, ru := range runs {
-				col := cols[ru.bank]
-				c := cur[ru.bank]
-				rows := col.Rows[c : c+ru.n]
-				gaps := col.Gaps[c : c+ru.n][:len(rows)]
+				t := &tails[ru.bank]
+				rows := t.Rows[:ru.n]
+				gaps := t.Gaps[:len(rows)]
 				dst := out[base:][:len(rows)]
-				if len(col.Dwells) == 0 {
+				if len(t.Dwells) == 0 {
 					for i, r := range rows {
 						dst[i] = Access{Bank: ru.bank, Row: int(r), Gap: gaps[i]}
 					}
 				} else {
-					dwells := col.Dwells[c : c+ru.n][:len(rows)]
+					dwells := t.Dwells[:len(rows)]
 					for i, r := range rows {
 						dst[i] = Access{Bank: ru.bank, Row: int(r), Gap: gaps[i], Dwell: dwells[i]}
 					}
+					t.Dwells = t.Dwells[len(rows):]
 				}
+				t.Rows, t.Gaps = t.Rows[len(rows):], t.Gaps[len(rows):]
 				base += len(rows)
-				cur[ru.bank] = c + ru.n
 			}
-			for _, sb := range br.segBlocks {
-				if cur[sb.bank] != sb.count { // invariant, per runList above
-					return nil, binErrf("segment: runs replay %d accesses of bank %d, block carries %d", cur[sb.bank], sb.bank, sb.count)
-				}
-				pool = append(pool, cols[sb.bank])
-				cols[sb.bank] = ColBlock{}
-				cur[sb.bank] = 0
-			}
+			blocks = blocks[:0]
 			continue
 		}
 		if err := br.nextSegment(); err != nil {

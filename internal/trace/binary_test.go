@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -381,6 +382,142 @@ func TestBinaryRejectsCorruptStream(t *testing.T) {
 	// so only assert it never panics and the strict validators still run.
 	for i := len(binaryMagic); i < len(base); i += 7 {
 		_ = mut(func(d []byte) { d[i] ^= 0x80 })
+	}
+}
+
+// nextColsByBank drains data through NextCols, recycling each block's
+// buffer as replay does, and returns every bank's accesses in order, or
+// the first non-EOF error.
+func nextColsByBank(data []byte) (map[int][]Access, error) {
+	br, err := NewBlockReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	got := map[int][]Access{}
+	var buf ColBlock
+	for {
+		blk, err := br.NextCols(buf)
+		if err == io.EOF {
+			return got, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		got[blk.Bank] = appendBlock(got[blk.Bank], blk)
+		buf = blk
+	}
+}
+
+// handStream frames hand-built version-1 segment payloads behind a header
+// naming banks banks and total accesses, and ends the stream.
+func handStream(banks int, total int64, payloads ...[]byte) []byte {
+	s := AppendBinaryHeader(nil, "hand", banks, total, 1)
+	for _, p := range payloads {
+		s = binary.AppendUvarint(s, uint64(len(p)))
+		s = append(s, p...)
+	}
+	return append(s, 0)
+}
+
+// uv appends vs to dst as canonical uvarints.
+func uv(dst []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	return dst
+}
+
+// cat concatenates byte slices into a new one.
+func cat(parts ...[]byte) []byte {
+	return bytes.Join(parts, nil)
+}
+
+// TestBinaryRejectsMalformedSegment: both readers reject each malformed
+// segment with a non-EOF error — NextCols as well as ReadBinary, although
+// only ReadBinary uses the run list. Every case is one edit of a valid
+// two-bank segment.
+func TestBinaryRejectsMalformedSegment(t *testing.T) {
+	// Two blocks: bank 0 with two accesses (rows 1, 1), bank 1 with one
+	// (row 1), all at gap 0. Each block is bank, count, row deltas, gap
+	// deltas; zigzag +1 is 2.
+	bank0 := uv(nil, 0, 2, 2, 0, 0, 0)
+	bank1 := uv(nil, 1, 1, 2, 0)
+	blocks := cat(uv(nil, 2), bank0, bank1)
+	runs := uv(nil, 3, 0, 1, 1, 1, 0, 1)
+	// A 10-byte varint whose last byte carries bits past 64: binary.Uvarint
+	// rejects it; read modulo 2⁶⁴ it would be 0.
+	overlong := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}
+	// A first segment with a block for bank 2 only, so that bank has
+	// decode state when the next segment, which has no block for it, runs.
+	bank2 := uv(nil, 1, 2, 1, 2, 0, 1, 2, 1)
+
+	if got, err := nextColsByBank(handStream(2, 3, cat(blocks, runs))); err != nil || len(got[0])+len(got[1]) != 3 {
+		t.Fatalf("valid hand-built segment: %d+%d accesses, err %v", len(got[0]), len(got[1]), err)
+	}
+	cases := []struct {
+		name string
+		data []byte
+		want string // error substring; empty accepts any error
+	}{
+		{"run for a bank without a block", handStream(3, 4, bank2, cat(blocks, uv(nil, 2, 0, 2, 2, 1))), ""},
+		{"runs short of a block", handStream(2, 3, cat(blocks, uv(nil, 1, 0, 2))), ""},
+		{"one bank over, one short", handStream(2, 3, cat(blocks, uv(nil, 2, 0, 1, 1, 2))), ""},
+		{"zero-length run", handStream(2, 3, cat(blocks, uv(nil, 3, 0, 2, 1, 0, 1, 1))), ""},
+		{"run bank beyond header", handStream(2, 3, cat(blocks, uv(nil, 2, 0, 2, 7, 1))), ""},
+		{"zero run count", handStream(2, 3, cat(blocks, uv(nil, 0))), ""},
+		{"trailing byte", handStream(2, 3, cat(blocks, runs, []byte{0})), ""},
+		{"blocks out of bank order", handStream(2, 3, cat(uv(nil, 2), bank1, bank0, runs)), "out of order"},
+		{"overlong row delta", handStream(2, 3, cat(uv(nil, 2, 0, 2), overlong, uv(nil, 0, 0, 0), bank1, runs)), ""},
+		{"overlong run bank", handStream(2, 3, cat(blocks, uv(nil, 3), overlong, uv(nil, 1, 1, 1, 0, 1))), ""},
+		{"truncated gap delta", handStream(2, 3, uv(nil, 2, 0, 2, 2, 0, 0)), "segment: truncated gap delta"},
+		{"negative row", handStream(2, 3, cat(uv(nil, 2, 0, 2, 1, 0, 0, 0), bank1, runs)), "segment: row -1 out of range [0, 2147483647]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, rbErr := ReadBinary(bytes.NewReader(tc.data))
+			_, ncErr := nextColsByBank(tc.data)
+			for reader, err := range map[string]error{"ReadBinary": rbErr, "NextCols": ncErr} {
+				if err == nil || err == io.EOF {
+					t.Errorf("%s: err = %v, want a decode error", reader, err)
+				} else if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: err = %v, want %q", reader, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestUvarintAtMatchesBinaryUvarint: the payload varint decoder agrees
+// with binary.Uvarint on value, length and rejection — truncated and
+// overlong inputs included — for every varint length.
+func TestUvarintAtMatchesBinaryUvarint(t *testing.T) {
+	inputs := [][]byte{
+		nil,
+		{0x80},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // MaxUint64
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, // overflows
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
+	}
+	for _, v := range []uint64{0, 1, 0x7f, 0x80, 1 << 14, 1<<21 - 1, 1 << 35, 1<<63 - 1, 1 << 63, 1<<64 - 1} {
+		enc := binary.AppendUvarint(nil, v)
+		inputs = append(inputs, enc, enc[:len(enc)-1], append(enc, 0x55))
+	}
+	for _, in := range inputs {
+		want, n := binary.Uvarint(in)
+		got, next := uvarintAt(in, 0)
+		if n <= 0 {
+			if next >= 0 {
+				t.Errorf("% x: uvarintAt = (%d, %d), binary.Uvarint rejects it", in, got, next)
+			}
+			continue
+		}
+		if got != want || next != n {
+			t.Errorf("% x: uvarintAt = (%d, %d), binary.Uvarint = (%d, %d)", in, got, next, want, n)
+		}
+		// Decoding at an offset reads the same bytes.
+		if got, next := uvarintAt(append([]byte{0xee}, in...), 1); got != want || next != n+1 {
+			t.Errorf("% x at offset 1: uvarintAt = (%d, %d), want (%d, %d)", in, got, next, want, n+1)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 )
@@ -78,47 +77,19 @@ func FuzzReadFrom(f *testing.F) {
 			}
 		}
 		// The block reader's per-bank partition must match the reference's.
-		want := map[int][]Access{}
-		for _, a := range accs {
-			want[a.Bank] = append(want[a.Bank], a)
-		}
-		br, err := NewBlockReader(bytes.NewReader(bb.Bytes()))
+		got2, err := nextColsByBank(bb.Bytes())
 		if err != nil {
-			t.Fatalf("NewBlockReader: %v", err)
+			t.Fatalf("BlockReader.NextCols: %v", err)
 		}
-		got2 := map[int][]Access{}
-		var buf ColBlock
-		for {
-			blk, err := br.NextCols(buf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("BlockReader.NextCols: %v", err)
-			}
-			got2[blk.Bank] = appendBlock(got2[blk.Bank], blk)
-			buf = blk
-		}
-		if len(got2) != len(want) {
-			t.Fatalf("block partition covers %d banks, want %d", len(got2), len(want))
-		}
-		for bank, ws := range want {
-			gs := got2[bank]
-			if len(gs) != len(ws) {
-				t.Fatalf("bank %d: blocks carry %d accesses, want %d", bank, len(gs), len(ws))
-			}
-			for i := range ws {
-				if gs[i] != ws[i] {
-					t.Fatalf("bank %d access %d: %+v vs %+v", bank, i, gs[i], ws[i])
-				}
-			}
-		}
+		sameByBank(t, got2, byBank(accs))
 	})
 }
 
 // FuzzBinaryReader hardens the binary decoder: arbitrary bytes after the
 // magic must either decode cleanly or error — never panic or over-allocate
-// — and whatever decodes must re-encode to an equivalent trace.
+// — and whatever decodes must re-encode to an equivalent trace. The block
+// decoder must agree: NextCols accepts exactly the streams ReadBinary
+// accepts, with ReadBinary's accesses as its per-bank columns.
 func FuzzBinaryReader(f *testing.F) {
 	seed := func(accs []Access) []byte {
 		var bb bytes.Buffer
@@ -138,9 +109,14 @@ func FuzzBinaryReader(f *testing.F) {
 	f.Add([]byte("RHTB2\n\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadBinary(bytes.NewReader(data))
+		cols, colsErr := nextColsByBank(data)
+		if (err == nil) != (colsErr == nil) {
+			t.Fatalf("ReadBinary err = %v, NextCols err = %v", err, colsErr)
+		}
 		if err != nil {
 			return
 		}
+		sameByBank(t, cols, byBank(tr.Accs))
 		var bb bytes.Buffer
 		if _, err := WriteBinary(&bb, tr.Generator()); err != nil {
 			t.Fatalf("re-encode of accepted trace failed: %v", err)

@@ -335,7 +335,11 @@ func BenchmarkScheme_AppendOnActivate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	specs = append(specs, sim.CRASpec(50000, sc))
+	cra, _, err := sim.BuildScheme("cra", 50000, 2, 1, sc.Geometry.RowsPerBank, sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs = append(specs, sim.Spec{Name: "CRA", Factory: func(int64) mitigation.Factory { return cra }})
 	for _, spec := range specs {
 		b.Run(spec.Name, func(b *testing.B) {
 			m, err := spec.Factory(sc.Seed)()

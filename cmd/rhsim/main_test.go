@@ -69,6 +69,9 @@ func TestRunRejectsUnknownInputs(t *testing.T) {
 	if _, err := run(&sb, nil, options{workload: "S3", scheme: "nope", trh: 50000, k: 2, distance: 1, acts: 10, windows: 0.01, seed: 1}); err == nil {
 		t.Error("accepted unknown scheme")
 	}
+	if _, err := run(&sb, nil, options{workload: "S3", scheme: "graphene", trh: 50000, k: 2, distance: 1, acts: 10, windows: 0.01, seed: 1, faults: "sched.jobs:error:1"}); err == nil {
+		t.Error("accepted a fault site nothing passes through")
+	}
 }
 
 func TestRunCRAReportsExtraTraffic(t *testing.T) {
@@ -125,10 +128,36 @@ func TestRunRecordedTrace(t *testing.T) {
 		}
 	}
 
+	// The recording replays on the one bank the S3 workload runs on, so
+	// refresh accounting matches the -workload run line for line.
+	var direct strings.Builder
+	if _, err := run(&direct, nil, options{
+		workload: "S3", scheme: "graphene", trh: 50000,
+		k: 2, distance: 1, acts: 10_000, windows: 0.05, seed: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, prefix := range []string{"auto-refresh rows", "refresh overhead"} {
+		got, want := reportLine(out, prefix), reportLine(direct.String(), prefix)
+		if want == "" || got != want {
+			t.Errorf("-trace reports %q, -workload S3 reports %q", got, want)
+		}
+	}
+
 	if _, err := run(&strings.Builder{}, nil, options{
 		trace: filepath.Join(dir, "absent.trace"), scheme: "graphene", trh: 50000,
 		k: 2, distance: 1,
 	}); err == nil {
 		t.Error("accepted a missing trace file")
 	}
+}
+
+// reportLine returns the report line that starts with prefix, or "".
+func reportLine(report, prefix string) string {
+	for _, line := range strings.Split(report, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return line
+		}
+	}
+	return ""
 }

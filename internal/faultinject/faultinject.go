@@ -18,7 +18,11 @@
 //	sched.job:panic:2              second scheduled cell panics
 //	memctrl.partition:error:5      block router fails at its 5th block
 //	memctrl.replay:delay=2ms:1     first drained block stalls 2 ms
-//	trace.read:error:p=0.01@7      reads fail with p=1% (seed 7)
+//	memctrl.replay:error:p=0.01@7  drained blocks fail with p=1% (seed 7)
+//
+// New rejects any site other than the three wired ones (sched.job,
+// memctrl.partition, memctrl.replay), so a misspelt site fails the spec
+// instead of never firing.
 //
 // Hit counts are global per site across goroutines (a shared atomic), so
 // an Nth-hit trigger fires exactly once per Injector no matter how many
@@ -30,8 +34,8 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,10 +60,10 @@ const (
 	// SiteReplay fires in a memctrl bank goroutine each time it drains a
 	// block, before replaying it.
 	SiteReplay = "memctrl.replay"
-
-	// SiteTraceRead fires per Read of a Reader-wrapped trace source.
-	SiteTraceRead = "trace.read"
 )
+
+// sites lists every wired site; New accepts no other.
+var sites = []string{SiteSchedJob, SitePartition, SiteReplay}
 
 // ErrInjected is the sentinel wrapped by every injected error, so callers
 // (tests, retry policies) can classify a failure as synthetic with
@@ -178,8 +182,8 @@ func parsePoint(part string) (string, *point, error) {
 		return "", nil, fmt.Errorf("faultinject: bad point %q: want site:kind:trigger", part)
 	}
 	name := strings.TrimSpace(fields[0])
-	if name == "" {
-		return "", nil, fmt.Errorf("faultinject: bad point %q: empty site", part)
+	if !slices.Contains(sites, name) {
+		return "", nil, fmt.Errorf("faultinject: bad point %q: unknown site %q (want one of %s)", part, name, strings.Join(sites, ", "))
 	}
 	pt := &point{}
 	switch k := strings.TrimSpace(fields[1]); {
@@ -235,8 +239,8 @@ func (inj *Injector) SetRecorder(rec *obs.Recorder) {
 
 // Hit records one pass through the named fault point. It returns an
 // injected error, panics with a PanicValue, or sleeps, when a configured
-// point fires; otherwise (and always on a nil Injector or unknown site)
-// it returns nil.
+// point fires; otherwise (and always on a nil Injector or a site the spec
+// does not name) it returns nil.
 func (inj *Injector) Hit(name string) error {
 	if inj == nil {
 		return nil
@@ -298,28 +302,4 @@ func (inj *Injector) record(name string, pt *point, hit int64) {
 		Kind: obs.KindFaultInjected, Bank: -1,
 		Label: name, Detail: pt.kind.String(), Value: hit,
 	})
-}
-
-// Reader wraps r so that every Read first passes through the named fault
-// point — the hook that exercises trace-reading error paths without the
-// trace package knowing about fault injection. On a nil Injector it
-// returns r unchanged.
-func (inj *Injector) Reader(name string, r io.Reader) io.Reader {
-	if inj == nil {
-		return r
-	}
-	return &faultReader{inj: inj, name: name, r: r}
-}
-
-type faultReader struct {
-	inj  *Injector
-	name string
-	r    io.Reader
-}
-
-func (fr *faultReader) Read(p []byte) (int, error) {
-	if err := fr.inj.Hit(fr.name); err != nil {
-		return 0, err
-	}
-	return fr.r.Read(p)
 }

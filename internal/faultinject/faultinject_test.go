@@ -2,7 +2,6 @@ package faultinject
 
 import (
 	"errors"
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -92,13 +91,13 @@ func TestFaultInjectDelayWaits(t *testing.T) {
 
 func TestFaultInjectProbabilisticIsSeededAndDeterministic(t *testing.T) {
 	fire := func() []int {
-		inj, err := New("trace.read:error:p=0.25@42")
+		inj, err := New("memctrl.replay:error:p=0.25@42")
 		if err != nil {
 			t.Fatal(err)
 		}
 		var hits []int
 		for i := 1; i <= 200; i++ {
-			if inj.Hit(SiteTraceRead) != nil {
+			if inj.Hit(SiteReplay) != nil {
 				hits = append(hits, i)
 			}
 		}
@@ -166,65 +165,50 @@ func TestFaultInjectRecorderSeesFiredFaults(t *testing.T) {
 	}
 }
 
-func TestFaultInjectReaderInjectsReadErrors(t *testing.T) {
-	inj, err := New("trace.read:error:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := inj.Reader(SiteTraceRead, strings.NewReader("hello world"))
-	buf := make([]byte, 5)
-	if _, err := r.Read(buf); err != nil {
-		t.Fatalf("first read: %v", err)
-	}
-	if _, err := r.Read(buf); !errors.Is(err, ErrInjected) {
-		t.Fatalf("second read err = %v, want ErrInjected", err)
-	}
-	// A nil injector's Reader is the identity.
-	var nilInj *Injector
-	src := strings.NewReader("x")
-	if got := nilInj.Reader(SiteTraceRead, src); got != io.Reader(src) {
-		t.Fatal("nil Injector.Reader should return the reader unchanged")
-	}
-}
-
 func TestFaultInjectSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"justasite",
-		"site:error",
-		"site:explode:1",
-		"site:error:0",
-		"site:error:-2",
-		"site:error:p=1.5",
-		"site:error:p=0",
-		"site:error:p=0.5@notanint",
-		"site:delay=bogus:1",
-		"site:delay=-5ms:1",
-		":error:1",
+	for _, tc := range []struct{ spec, want string }{
+		{"sched.job", "want site:kind:trigger"},
+		{"sched.job:error", "want site:kind:trigger"},
+		{"sched.job:explode:1", `kind "explode"`},
+		{"sched.job:error:0", `trigger "0"`},
+		{"sched.job:error:-2", `trigger "-2"`},
+		{"sched.job:error:p=1.5", `probability "1.5"`},
+		{"sched.job:error:p=0", `probability "0"`},
+		{"sched.job:error:p=0.5@notanint", `seed "notanint"`},
+		{"sched.job:delay=bogus:1", `bad delay "delay=bogus"`},
+		{"sched.job:delay=-5ms:1", `bad delay "delay=-5ms"`},
+		{":error:1", `unknown site ""`},
+		// A site no code passes through would never fire, so the error
+		// names the wired ones instead.
+		{"sched.jobs:error:1", `unknown site "sched.jobs" (want one of sched.job, memctrl.partition, memctrl.replay)`},
+		{"trace.read:error:3", `unknown site "trace.read"`},
+		{"memctrl.replay:error:1,memctrl.partiton:error:2", `unknown site "memctrl.partiton"`},
 	} {
-		if _, err := New(spec); err == nil {
-			t.Errorf("New(%q) accepted a bad spec", spec)
+		_, err := New(tc.spec)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("New(%q) = %v, want an error naming %s", tc.spec, err, tc.want)
 		}
 	}
 }
 
 func TestFaultInjectMultiplePointsAndSites(t *testing.T) {
-	inj, err := New("a:error:1, b:error:2, a:error:3")
+	inj, err := New("sched.job:error:1, memctrl.replay:error:2, sched.job:error:3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inj.Hit("a"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("a hit 1: %v", err)
+	if err := inj.Hit(SiteSchedJob); !errors.Is(err, ErrInjected) {
+		t.Fatalf("sched.job hit 1: %v", err)
 	}
-	if err := inj.Hit("a"); err != nil {
-		t.Fatalf("a hit 2: %v", err)
+	if err := inj.Hit(SiteSchedJob); err != nil {
+		t.Fatalf("sched.job hit 2: %v", err)
 	}
-	if err := inj.Hit("a"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("a hit 3: %v", err)
+	if err := inj.Hit(SiteSchedJob); !errors.Is(err, ErrInjected) {
+		t.Fatalf("sched.job hit 3: %v", err)
 	}
-	if err := inj.Hit("b"); err != nil {
-		t.Fatalf("b hit 1: %v", err)
+	if err := inj.Hit(SiteReplay); err != nil {
+		t.Fatalf("memctrl.replay hit 1: %v", err)
 	}
-	if err := inj.Hit("b"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("b hit 2: %v", err)
+	if err := inj.Hit(SiteReplay); !errors.Is(err, ErrInjected) {
+		t.Fatalf("memctrl.replay hit 2: %v", err)
 	}
 }

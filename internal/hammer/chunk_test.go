@@ -225,8 +225,8 @@ func differentialRun(t *testing.T, rows, distance int, mu mitigation.MuModel, nr
 				t.Fatalf("step %d: Disturbance(%d) = %v, want %v", step, r, got, want)
 			}
 		}
-		if !reflect.DeepEqual(o.Flips(), ref.flips) {
-			t.Fatalf("step %d: Flips = %v, want %v", step, o.Flips(), ref.flips)
+		if !reflect.DeepEqual(latched, ref.flips) {
+			t.Fatalf("step %d: flips since Reset = %v, want %v", step, latched, ref.flips)
 		}
 		gr, gd := o.MaxDisturbance()
 		wr, wd := ref.maxDisturbance()

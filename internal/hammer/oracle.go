@@ -54,7 +54,6 @@ type Oracle struct {
 	// refresh-at-flip-tick disambiguation. Only latched rows have an entry,
 	// so only recording a flip or refreshing a latched row touches it.
 	flipAt map[int]dram.Time
-	flips  []Flip
 
 	acts int64
 }
@@ -255,8 +254,8 @@ func dwellWeight(dwell, nras dram.Time) float64 {
 }
 
 // latch records victim v, in chunk c, flipping at now: it sets the row's
-// latch bit and flip tick and appends the flip to the log and to dst. The
-// caller has checked that v reached TRH and was not latched yet.
+// latch bit and flip tick and appends the flip to dst. The caller has
+// checked that v reached TRH and was not latched yet.
 func (o *Oracle) latch(dst []Flip, c *chunk, v int, now dram.Time) []Flip {
 	i := v & (chunkRows - 1)
 	c.latched[i>>6] |= 1 << (i & 63)
@@ -264,9 +263,7 @@ func (o *Oracle) latch(dst []Flip, c *chunk, v int, now dram.Time) []Flip {
 		o.flipAt = make(map[int]dram.Time)
 	}
 	o.flipAt[v] = now
-	f := Flip{Victim: v, At: now, Disturbance: c.disturb[i]}
-	o.flips = append(o.flips, f)
-	return append(dst, f)
+	return append(dst, Flip{Victim: v, At: now, Disturbance: c.disturb[i]})
 }
 
 // alloc gives chunk ci its arrays, sized to the rows the bank has from the
@@ -335,10 +332,7 @@ func (o *Oracle) MaxDisturbance() (row int, d float64) {
 	return row, d
 }
 
-// Flips returns every flip recorded so far.
-func (o *Oracle) Flips() []Flip { return o.flips }
-
-// Reset clears all accumulators and the flip log. Allocated chunks stay,
+// Reset clears all accumulators and flip latches. Allocated chunks stay,
 // zeroed, for the rows the next pass is likely to disturb again.
 func (o *Oracle) Reset() {
 	for _, c := range o.chunks {
@@ -346,7 +340,6 @@ func (o *Oracle) Reset() {
 		clear(c.latched)
 	}
 	clear(o.flipAt)
-	o.flips = nil
 	o.acts = 0
 }
 

@@ -65,24 +65,26 @@ func TestDoubleSidedHalvesPerAggressorBudget(t *testing.T) {
 	// §III-B: two aggressors hammering one victim from both sides need
 	// only TRH/2 ACTs each.
 	o := mustOracle(t, 64, 100, 1, nil)
+	var flips []Flip
 	for i := 0; i < 50; i++ {
-		if f := o.AppendActivate(nil, 9, 0); len(f) != 0 && i < 49 {
+		if flips = o.AppendActivate(flips, 9, 0); len(flips) != 0 && i < 49 {
 			t.Fatalf("premature flip at pair %d", i)
 		}
-		o.AppendActivate(nil, 11, 0)
+		flips = o.AppendActivate(flips, 11, 0)
 	}
 	if o.Disturbance(10) != 100 {
 		t.Errorf("victim disturbance = %g, want 100", o.Disturbance(10))
 	}
-	if len(o.Flips()) == 0 {
+	if len(flips) == 0 {
 		t.Error("double-sided hammering with TRH/2 per side did not flip")
 	}
 }
 
 func TestRefreshClearsDisturbance(t *testing.T) {
 	o := mustOracle(t, 64, 100, 1, nil)
+	var flips []Flip
 	for i := 0; i < 99; i++ {
-		o.AppendActivate(nil, 10, 0)
+		flips = o.AppendActivate(flips, 10, 0)
 	}
 	o.RefreshRow(9)
 	o.RefreshRow(11)
@@ -91,8 +93,8 @@ func TestRefreshClearsDisturbance(t *testing.T) {
 			t.Fatalf("flip after refresh at ACT %d", i)
 		}
 	}
-	if len(o.Flips()) != 0 {
-		t.Errorf("flips = %d, want 0", len(o.Flips()))
+	if len(flips) != 0 {
+		t.Errorf("flips = %d, want 0", len(flips))
 	}
 }
 
@@ -135,14 +137,15 @@ func TestNonAdjacentDisturbance(t *testing.T) {
 
 func TestEdgeRowsHaveOneNeighbor(t *testing.T) {
 	o := mustOracle(t, 8, 10, 1, nil)
+	var flips []Flip
 	for i := 0; i < 10; i++ {
-		o.AppendActivate(nil, 0, 0)
+		flips = o.AppendActivate(flips, 0, 0)
 	}
-	if len(o.Flips()) != 1 {
-		t.Errorf("edge aggressor flipped %d victims, want 1 (row 1)", len(o.Flips()))
+	if len(flips) != 1 {
+		t.Fatalf("edge aggressor flipped %d victims, want 1 (row 1)", len(flips))
 	}
-	if o.Flips()[0].Victim != 1 {
-		t.Errorf("victim = %d, want 1", o.Flips()[0].Victim)
+	if flips[0].Victim != 1 {
+		t.Errorf("victim = %d, want 1", flips[0].Victim)
 	}
 }
 
@@ -160,15 +163,27 @@ func TestMaxDisturbance(t *testing.T) {
 
 func TestResetClearsEverything(t *testing.T) {
 	o := mustOracle(t, 16, 5, 1, nil)
+	var flips []Flip
 	for i := 0; i < 10; i++ {
-		o.AppendActivate(nil, 8, 0)
+		flips = o.AppendActivate(flips, 8, 0)
+	}
+	if len(flips) != 2 {
+		t.Fatalf("flips before Reset = %d, want 2 (rows 7 and 9)", len(flips))
 	}
 	o.Reset()
-	if len(o.Flips()) != 0 || o.ACTs() != 0 {
-		t.Errorf("Reset left flips %d acts %d", len(o.Flips()), o.ACTs())
+	if o.ACTs() != 0 {
+		t.Errorf("Reset left acts %d", o.ACTs())
 	}
 	if _, d := o.MaxDisturbance(); d != 0 {
 		t.Errorf("Reset left disturbance %g", d)
+	}
+	// Reset released both latches: the same hammering flips both again.
+	flips = flips[:0]
+	for i := 0; i < 5; i++ {
+		flips = o.AppendActivate(flips, 8, 0)
+	}
+	if len(flips) != 2 {
+		t.Errorf("flips after Reset = %d, want 2 (latches released)", len(flips))
 	}
 }
 
@@ -273,8 +288,8 @@ func TestRefreshAtFlipTickNoDoubleReport(t *testing.T) {
 	// Residual same-tick activity must not re-report row 7 (and row 9 is
 	// still latched from the first episode): no new flips at all.
 	flips = o.AppendActivateOpen(nil, 8, tick, 250)
-	if len(flips) != 0 || len(o.Flips()) != 2 {
-		t.Errorf("refresh at flip tick double-reported: new %v, flips %d (want 0, 2)", flips, len(o.Flips()))
+	if len(flips) != 0 {
+		t.Errorf("refresh at flip tick double-reported: new %v, want none", flips)
 	}
 	// A refresh strictly after the flip tick releases the latch.
 	o.RefreshRowAt(7, tick+1)

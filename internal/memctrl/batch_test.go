@@ -36,10 +36,7 @@ func TestReplayBatchZeroAlloc(t *testing.T) {
 		// physical-row column before the oracle's run call, and every NRR
 		// resolves its aggressor through the remapper.
 		{"graphene-trigger-heavy-remapped", timing, graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: timing}), true, 0, true},
-		{"stack-quiet", timing, mitigation.StackFactory(
-			trr.Factory(trr.Config{Rows: hotRows, Seed: 7}),
-			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}),
-		), false, 0, false},
+		{"trr-quiet", timing, trr.Factory(trr.Config{Rows: hotRows, Seed: 7}), false, 0, false},
 		// Dwell-column legs: the per-ACT ActCycle horizon walk and the
 		// rowpress weighted-observe path must stay allocation-free too.
 		{"unprotected-dwell", timing, nil, false, timing.NRAS(), false},

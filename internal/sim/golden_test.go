@@ -21,9 +21,9 @@ import (
 
 // Golden differential harness for the Mitigator API migration.
 //
-// For every registered scheme factory — the sim registry plus the schemes
-// only the security harness builds (TRR, the sketch trackers, a stack) —
-// it replays one adversarial and one normal trace and serializes the full
+// For every registered scheme factory — the sim registry plus the sketch
+// trackers only the security harness builds — it replays one adversarial
+// and one normal trace and serializes the full
 // memctrl.Result together with the obs counter values and the (seq-freed,
 // canonically sorted) event stream. The goldens under testdata/golden were
 // recorded at the pre-migration commit; byte-identity here proves the
@@ -73,12 +73,6 @@ func goldenSchemes(t testing.TB, sc Scale) map[string]mitigation.Factory {
 		}
 		out[name] = f
 	}
-	// Defense in depth: a device-level TRR sampler under a Graphene engine,
-	// exercising Stack's append semantics end to end.
-	out["stack-trr-graphene"] = mitigation.StackFactory(
-		trr.Factory(trr.Config{Rows: rows, Seed: 5}),
-		out["graphene"],
-	)
 	return out
 }
 

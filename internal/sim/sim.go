@@ -8,13 +8,9 @@ import (
 	"fmt"
 
 	"graphene/internal/area"
-	"graphene/internal/cra"
 	"graphene/internal/dram"
 	"graphene/internal/memctrl"
 	"graphene/internal/mitigation"
-	"graphene/internal/mrloc"
-	"graphene/internal/para"
-	"graphene/internal/prohit"
 	"graphene/internal/security"
 	"graphene/internal/stats"
 	"graphene/internal/workload"
@@ -133,42 +129,6 @@ func builtSpec(scheme, label string, trh int64, sc Scale) (Spec, error) {
 		f, _, _ := BuildScheme(scheme, trh, 2, 1, sc.Geometry.RowsPerBank, seeded)
 		return f
 	}}, nil
-}
-
-// ProbabilisticSchemes builds the §V-A security line-up: PARA, PRoHIT and
-// MRLoc, configured for comparable extra-refresh budgets.
-func ProbabilisticSchemes(trh int64, sc Scale) ([]Spec, error) {
-	rows := sc.Geometry.RowsPerBank
-	p, err := ParaP(trh)
-	if err != nil {
-		return nil, err
-	}
-	// PRoHIT's per-tick refresh budget matched to PARA's worst-case rate:
-	// PARA refreshes p rows per ACT; one tREFI admits tREFI(1-overhead)/tRC
-	// ACTs, so the equivalent per-REF budget is p × ACTs-per-tREFI.
-	actsPerTREFI := float64(sc.Timing.MaxACTs(sc.Timing.TREFI))
-	tickP := p * actsPerTREFI
-	if tickP > 1 {
-		tickP = 1
-	}
-	return []Spec{
-		{Name: fmt.Sprintf("PARA-%.5f", p), Factory: func(seed int64) mitigation.Factory {
-			return para.Factory(para.Classic(p, rows, seed))
-		}},
-		{Name: "PRoHIT", Factory: func(seed int64) mitigation.Factory {
-			return prohit.Factory(prohit.Config{TickRefreshP: tickP, Rows: rows, Seed: seed})
-		}},
-		{Name: "MRLoc", Factory: func(seed int64) mitigation.Factory {
-			return mrloc.Factory(mrloc.Config{BaseP: p, Rows: rows, Seed: seed})
-		}},
-	}, nil
-}
-
-// CRASpec builds the CRA counter-cache scheme (§II-C survey).
-func CRASpec(trh int64, sc Scale) Spec {
-	return Spec{Name: "CRA", Factory: func(int64) mitigation.Factory {
-		return cra.Factory(cra.Config{TRH: trh, Rows: sc.Geometry.RowsPerBank})
-	}}
 }
 
 // Cell is one (workload, scheme) measurement.

@@ -360,26 +360,6 @@ func TestSeedVariance(t *testing.T) {
 	}
 }
 
-func TestProbabilisticSchemesConstruct(t *testing.T) {
-	specs, err := ProbabilisticSchemes(50000, testScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 3 {
-		t.Fatalf("%d specs", len(specs))
-	}
-	for _, s := range specs {
-		m, err := s.Factory(1)()
-		if err != nil || m == nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-	}
-	spec := CRASpec(50000, testScale())
-	if m, err := spec.Factory(1)(); err != nil || m.Name() != "cra-128" {
-		t.Fatalf("CRA spec: %v", err)
-	}
-}
-
 func TestScalePresets(t *testing.T) {
 	q, f := Quick(), Full()
 	if q.Geometry.Banks() >= f.Geometry.Banks() {

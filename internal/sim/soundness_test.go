@@ -5,11 +5,8 @@ import (
 	"testing"
 
 	"graphene/internal/dram"
-	"graphene/internal/graphene"
 	"graphene/internal/memctrl"
-	"graphene/internal/mitigation"
 	"graphene/internal/trace"
-	"graphene/internal/trr"
 	"graphene/internal/workload"
 )
 
@@ -106,9 +103,24 @@ func TestTailoredAttacksActuallyBite(t *testing.T) {
 	}
 }
 
-// Defense in depth: a TRR sampler stacked under Graphene inherits
-// Graphene's soundness while the TRR layer's own refreshes only help.
-func TestStackedTRRPlusGrapheneSound(t *testing.T) {
+// FuzzGrapheneSoundThroughController searches for an access pattern that
+// makes Graphene miss a victim end to end: through memctrl.Run, with its
+// auto-refresh interleaving, reset windows and RowPress weighting, judged
+// by the ground-truth oracle. Every three fuzz bytes are one tuple of the
+// attack's cycle: a row offset from mid in [-8, 8], a gap of 0-3 tRC
+// before the ACT, and a dwell of 0 (the device minimum) or 1-16 x nRAS.
+// The cycle repeats for 1.5 refresh windows at the compressed timing of
+// TestCounterSchemeSoundnessMatrix. The paper's Theorem (§III-C) says no
+// pattern flips a bit or brings any row to TRH.
+func FuzzGrapheneSoundThroughController(f *testing.F) {
+	f.Add([]byte{7, 0, 0, 9, 0, 0}) // double-sided around mid
+	var sixteen []byte
+	for off := byte(0); off < 16; off++ {
+		sixteen = append(sixteen, off, 0, 0) // rows mid-8 ... mid+7
+	}
+	f.Add(sixteen)
+	f.Add([]byte{7, 0, 16, 9, 0, 16}) // rowpress-double: 16 x nRAS per ACT
+
 	timing := dram.Timing{
 		TREFI: 244 * dram.Nanosecond, TRFC: 20 * dram.Nanosecond,
 		TRC: 45 * dram.Nanosecond, TRCD: 13300, TRP: 13300, TCL: 13300,
@@ -117,28 +129,55 @@ func TestStackedTRRPlusGrapheneSound(t *testing.T) {
 	const (
 		rows = 8192
 		trh  = 1200
+		mid  = rows / 2
 	)
-	acts := timing.MaxACTs(timing.TREFW)
-	stack := mitigation.StackFactory(
-		trr.Factory(trr.Config{SamplerEntries: 2, SampleP: 0.5, RefreshEvery: 64, Rows: rows, Seed: 2}),
-		graphene.Factory(graphene.Config{TRH: trh, K: 2, Rows: rows, Timing: timing}),
-	)
-	for _, mk := range []func() trace.Generator{
-		func() trace.Generator { return workload.ManySided(0, rows/2, 16, acts) },
-		func() trace.Generator { return workload.DoubleSided(0, rows/2, acts) },
-	} {
+	sc := Scale{
+		Geometry: dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: rows},
+		Timing:   timing,
+		Seed:     1,
+		Rowpress: true,
+	}
+	factory, display, err := BuildScheme("graphene", trh, 2, 1, rows, sc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cycle := make([]trace.Access, len(data)/3)
+		if len(cycle) == 0 {
+			return
+		}
+		for i := range cycle {
+			b := data[3*i : 3*i+3]
+			cycle[i] = trace.Access{
+				Row:   mid + int(b[0]%17) - 8,
+				Gap:   dram.Time(b[1]%4) * timing.TRC,
+				Dwell: dram.Time(b[2]%17) * timing.NRAS(),
+			}
+		}
+		// The cycle repeats until its own ACT cycles and gaps span 1.5
+		// windows; the controller's REF stalls come on top.
+		i, elapsed := 0, dram.Time(0)
+		gen := trace.FromFunc("fuzz-cycle", func() (trace.Access, bool) {
+			if elapsed >= timing.TREFW*3/2 {
+				return trace.Access{}, false
+			}
+			a := cycle[i%len(cycle)]
+			i++
+			elapsed += a.Gap + timing.ActCycle(a.Dwell)
+			return a, true
+		})
 		res, err := memctrl.Run(memctrl.Config{
-			Geometry: dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: rows},
-			Timing:   timing, Factory: stack, TRH: trh,
-		}, mk())
+			Geometry: sc.Geometry, Timing: timing,
+			Factory: factory, TRH: trh,
+		}, gen)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Flips) != 0 {
-			t.Errorf("stacked TRR+Graphene flipped %d bits", len(res.Flips))
+			t.Fatalf("%s: %d bit flips over %d ACTs (first: %v)", display, len(res.Flips), res.ACTs, res.Flips[0])
 		}
-		if res.Scheme != "trr-2+graphene-k2" {
-			t.Errorf("scheme = %q", res.Scheme)
+		if res.MaxDisturbance >= trh {
+			t.Fatalf("%s: disturbance reached %g / %d", display, res.MaxDisturbance, trh)
 		}
-	}
+	})
 }

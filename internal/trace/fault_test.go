@@ -7,13 +7,29 @@ import (
 	"strings"
 	"testing"
 
-	"graphene/internal/faultinject"
 	"graphene/internal/trace"
 )
 
-// TestFaultInjectTraceReadPropagates: an injected I/O error mid-read must
-// surface from ReadFrom as a trace error wrapping the injected fault —
-// never as a silently truncated trace.
+// errRead is the fault failingReader injects.
+var errRead = errors.New("injected read fault")
+
+// failingReader passes reads through to r until its third Read, which
+// fails with errRead, as a disk or socket error mid-trace would.
+type failingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if f.reads++; f.reads == 3 {
+		return 0, errRead
+	}
+	return f.r.Read(p)
+}
+
+// TestFaultInjectTraceReadPropagates: an I/O error mid-read must surface
+// from ReadFrom as a trace error wrapping the read fault — never as a
+// silently truncated trace.
 func TestFaultInjectTraceReadPropagates(t *testing.T) {
 	// Enough lines to guarantee more than one Read through the scanner.
 	var sb strings.Builder
@@ -21,12 +37,8 @@ func TestFaultInjectTraceReadPropagates(t *testing.T) {
 	for i := 0; i < 50_000; i++ {
 		sb.WriteString("0 1 10\n")
 	}
-	inj, err := faultinject.New("trace.read:error:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = trace.ReadFrom(inj.Reader(faultinject.SiteTraceRead, strings.NewReader(sb.String())), "fallback")
-	if !errors.Is(err, faultinject.ErrInjected) {
+	_, err := trace.ReadFrom(&failingReader{r: strings.NewReader(sb.String())}, "fallback")
+	if !errors.Is(err, errRead) {
 		t.Fatalf("err = %v, want the injected read fault", err)
 	}
 	if !strings.HasPrefix(err.Error(), "trace: ") {
@@ -54,9 +66,8 @@ func TestFaultInjectTraceReadPropagates(t *testing.T) {
 }
 
 // TestFaultInjectBlockReaderPropagates: the binary block reader must
-// surface an injected mid-stream read fault as an error wrapping
-// ErrInjected — never io.EOF, never a short block sequence that looks like
-// a complete trace.
+// surface a mid-stream read fault as an error wrapping it — never io.EOF,
+// never a short block sequence that looks like a complete trace.
 func TestFaultInjectBlockReaderPropagates(t *testing.T) {
 	// Multi-segment binary fixture so reads span several segment payloads.
 	accs := make([]trace.Access, 0, 150_000)
@@ -68,15 +79,11 @@ func TestFaultInjectBlockReaderPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inj, err := faultinject.New("trace.read:error:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	br, err := trace.NewBlockReader(inj.Reader(faultinject.SiteTraceRead, bytes.NewReader(bb.Bytes())))
+	br, err := trace.NewBlockReader(&failingReader{r: bytes.NewReader(bb.Bytes())})
 	if err != nil {
 		// The fault may already hit inside the header read; that is a valid
 		// propagation too, as long as it is the injected error.
-		if !errors.Is(err, faultinject.ErrInjected) {
+		if !errors.Is(err, errRead) {
 			t.Fatalf("NewBlockReader err = %v, want injected fault", err)
 		}
 		return
@@ -89,7 +96,7 @@ func TestFaultInjectBlockReaderPropagates(t *testing.T) {
 		if err == io.EOF {
 			t.Fatal("block reader reached clean EOF through an injected fault")
 		}
-		if !errors.Is(err, faultinject.ErrInjected) {
+		if !errors.Is(err, errRead) {
 			t.Fatalf("NextCols err = %v, want injected fault", err)
 		}
 		if !strings.HasPrefix(err.Error(), "trace: ") {

@@ -168,10 +168,16 @@ race:
 	$(GO) test -race -short -count=3 ./internal/faultinject/... ./internal/memctrl/... ./internal/sim/... ./internal/sched/... ./internal/mitigation/... ./internal/trace/... ./internal/serve/... ./internal/obs/... ./cmd/rhsimd/... ./cmd/rhload/... ./cmd/rhsweep/...
 
 # Short exploratory fuzz passes over the core invariants.
+# Two targets run costly inputs: FuzzGrapheneSoundThroughController
+# replays tens of thousands of ACTs per input whatever the input's
+# length, and FuzzTableMatchesReference compares every view of tables up
+# to 160 entries after each step. Go's default 60 s minimization of each
+# new input used up most of their 30 s budgets (most progress reports
+# read 0 execs/s), so they minimize with at most 100 runs.
 fuzz:
 	$(GO) test ./internal/graphene -fuzz=FuzzTableInvariants -fuzztime=30s -run xxx
 	$(GO) test ./internal/graphene -fuzz=FuzzBankNeverMissesTheorem -fuzztime=30s -run xxx
-	$(GO) test ./internal/graphene -fuzz=FuzzTableMatchesReference -fuzztime=30s -run xxx
+	$(GO) test ./internal/graphene -fuzz=FuzzTableMatchesReference -fuzztime=30s -fuzzminimizetime=100x -run xxx
 	$(GO) test ./internal/graphene -fuzz=FuzzBatchAppend -fuzztime=30s -run xxx
 	$(GO) test ./internal/graphene -fuzz=FuzzObserveWMatchesUnits -fuzztime=30s -run xxx
 	$(GO) test ./internal/trace -fuzz=FuzzBinaryReader -fuzztime=30s -run xxx
@@ -179,7 +185,7 @@ fuzz:
 	$(GO) test ./internal/trace -fuzz=FuzzWriteName -fuzztime=30s -run xxx
 	$(GO) test ./internal/memctrl -fuzz=FuzzStreamingMatchesBuffered -fuzztime=30s -run xxx
 	$(GO) test ./internal/hammer -fuzz=FuzzOracleRunMatchesDense -fuzztime=30s -run xxx
-	$(GO) test ./internal/sim -fuzz=FuzzGrapheneSoundThroughController -fuzztime=30s -run xxx
+	$(GO) test ./internal/sim -fuzz=FuzzGrapheneSoundThroughController -fuzztime=30s -fuzzminimizetime=100x -run xxx
 	$(GO) test ./internal/serve -fuzz=FuzzWireSession -fuzztime=30s -run xxx
 
 # Fuzz-target guard: every `func Fuzz…` in a tracked test file must have a

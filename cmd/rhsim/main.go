@@ -143,14 +143,11 @@ func run(w io.Writer, rec *obs.Recorder, o options) (flipped bool, err error) {
 
 	var gen, baseGen trace.Generator
 	geo := sc.Geometry
-	oneBank := dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: sc.Geometry.RowsPerBank}
 	if o.trace != "" {
-		// A recorded trace replaces the generator on both runs. LoadTraces
-		// grows one bank to the banks and rows the trace names, so a
-		// recorded attack replays on one bank, as its workload does below.
-		one := sc
-		one.Geometry = oneBank
-		traces, eff, err := sim.LoadTraces(one, []string{o.trace})
+		// A recorded trace replaces the generator on both runs, on the
+		// banks it touches: a recorded attack replays on one bank, as its
+		// workload does below.
+		traces, eff, err := sim.LoadTraces(sc, []string{o.trace})
 		if err != nil {
 			return false, err
 		}
@@ -165,7 +162,7 @@ func run(w io.Writer, rec *obs.Recorder, o options) (flipped bool, err error) {
 			return false, err
 		}
 		if attack {
-			geo = oneBank
+			geo = dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: sc.Geometry.RowsPerBank}
 		}
 		baseGen, _, _ = sim.BuildWorkload(o.workload, sc, o.trh)
 	}

@@ -8,7 +8,7 @@ import (
 
 // Microbenchmarks for the per-ACT software paths — address hit, miss with
 // replacement (the hardware critical path), and miss with spillover bump —
-// measured for both the count-bucket Table ("optimized") and the naive
+// measured for both the cursor Table ("optimized") and the naive
 // linear-scan ReferenceTable ("reference"), at the paper's K=1 size (108),
 // an intermediate size (163), and a DDR5-class low-TRH size (680). The
 // reference numbers are the "before" column of the EXPERIMENTS.md hot-path
@@ -77,9 +77,9 @@ func BenchmarkObserveMissReplace(b *testing.B) {
 }
 
 // BenchmarkObserveMissSpill: every entry is overflow-pinned, so each miss
-// scans the whole table (reference) or consults the empty head bucket
-// (optimized) before bumping the spillover count — the miss path's
-// software worst case.
+// scans the whole table (reference) or walks the ⌈Nentry/64⌉ empty words
+// of the unpinned bitmap (optimized) before bumping the spillover count —
+// the miss path's software worst case.
 func BenchmarkObserveMissSpill(b *testing.B) {
 	forEachTrackerSize(b, func(b *testing.B, nentry int, mk func(int64) observeOnly) {
 		const thr = 4

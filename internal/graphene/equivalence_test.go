@@ -2,6 +2,7 @@ package graphene
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -77,12 +78,13 @@ func mustMatchStep(t *testing.T, label string, step int, row int, opt, ref track
 	}
 }
 
-// TestTableMatchesReferenceByteForByte is the tentpole's differential
-// harness: the count-bucket table must reproduce the naive linear-scan
-// ReferenceTable observable for observable — trigger sequence, spillover,
-// alert, per-path stats, and the full EstimatedCount/Tracked views — over
+// TestTableMatchesReferenceByteForByte is the differential harness: the
+// cursor table must reproduce the naive linear-scan ReferenceTable
+// observable for observable — trigger sequence, spillover, alert,
+// per-path stats, and the full EstimatedCount/Tracked views — over
 // adversarial and random streams, across window resets, in the
-// spillover-alert regime, and with overflow-pinned entries.
+// spillover-alert regime, with overflow-pinned entries, and on tables
+// whose unpinned bitmap spans one, two and three words.
 func TestTableMatchesReferenceByteForByte(t *testing.T) {
 	type stream struct {
 		label  string
@@ -91,6 +93,17 @@ func TestTableMatchesReferenceByteForByte(t *testing.T) {
 		reset  int // Reset both tables every reset steps (0 = never)
 		steps  int
 		next   func(rng *rand.Rand, i int) int
+	}
+	// multiWord hammers a hot set half again the table's size, so entries
+	// reach T in every bitmap word, over noise that keeps the spillover
+	// count rising and the cursor restarting.
+	multiWord := func(nentry int) func(rng *rand.Rand, i int) int {
+		return func(rng *rand.Rand, i int) int {
+			if rng.Float64() < 0.7 {
+				return rng.Intn(nentry + nentry/2)
+			}
+			return rng.Intn(5000)
+		}
 	}
 	streams := []stream{
 		{"random-skewed", 6, 40, 0, 60_000, func(rng *rand.Rand, i int) int {
@@ -120,6 +133,9 @@ func TestTableMatchesReferenceByteForByte(t *testing.T) {
 			}
 			return rng.Intn(200)
 		}},
+		{"one-full-word", 64, 12, 1500, 20_000, multiWord(64)},
+		{"second-word", 65, 12, 1500, 20_000, multiWord(65)},
+		{"third-word", 130, 12, 2500, 30_000, multiWord(130)},
 	}
 	for _, s := range streams {
 		t.Run(s.label, func(t *testing.T) {
@@ -129,7 +145,7 @@ func TestTableMatchesReferenceByteForByte(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(41))
-			triggered := false
+			pinned := make([]bool, len(opt.unpinned)) // per bitmap word
 			for i := 0; i < s.steps; i++ {
 				if s.reset > 0 && i > 0 && i%s.reset == 0 {
 					opt.Reset()
@@ -137,13 +153,17 @@ func TestTableMatchesReferenceByteForByte(t *testing.T) {
 				}
 				row := s.next(rng, i)
 				got, want := opt.Observe(row), ref.Observe(row)
-				triggered = triggered || want
 				// Full-view comparison every step is O(Nentry log Nentry);
 				// these shapes are small enough to afford it.
 				mustMatchStep(t, s.label, i, row, opt, ref, got, want)
+				for j, e := range opt.entries {
+					pinned[j>>6] = pinned[j>>6] || e.overflow
+				}
 			}
-			if s.thr < 1<<30 && !triggered {
-				t.Errorf("%s never triggered; differential coverage incomplete", s.label)
+			// An entry pins when it first triggers, so a stream that can
+			// trigger must pin an entry in every bitmap word.
+			if s.thr < 1<<30 && slices.Contains(pinned, false) {
+				t.Errorf("%s: bitmap words with a pinned entry %v; differential coverage incomplete", s.label, pinned)
 			}
 		})
 	}

@@ -40,12 +40,14 @@ func FuzzTableInvariants(f *testing.F) {
 }
 
 // FuzzTableMatchesReference is the differential fuzz target behind the
-// count-bucket optimization: an arbitrary byte-encoded stream is replayed
-// against the optimized Table and the naive ReferenceTable, asserting
+// Count-CAM cursor: an arbitrary byte-encoded stream is replayed against
+// the optimized Table and the naive ReferenceTable, asserting
 // byte-identical triggers, spillover, and EstimatedCount/Tracked views at
 // every step. resetPeriod > 0 resets both tables on that cadence so window
-// boundaries are exercised; the seed corpus covers the window-boundary,
-// spillover-alert, and overflow-pinned regimes.
+// boundaries are exercised. Nentry ranges over 1–160, so the unpinned
+// bitmap spans up to three words; the seed corpus covers the
+// window-boundary, spillover-alert, overflow-pinned and multi-word
+// regimes.
 func FuzzTableMatchesReference(f *testing.F) {
 	// Window boundaries: resets every 5 steps across a skewed stream.
 	f.Add(uint8(4), uint8(20), uint16(5), []byte{1, 1, 1, 2, 3, 1, 1, 9, 9, 1, 1, 1, 2, 3})
@@ -54,8 +56,19 @@ func FuzzTableMatchesReference(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint16(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	// Overflow pinning: threshold 3, hot rows reach T and pin, then churn.
 	f.Add(uint8(2), uint8(2), uint16(0), []byte{7, 7, 7, 8, 8, 8, 0, 1, 2, 3, 4, 7, 8, 5, 6})
+	// Three bitmap words: 130 entries, threshold 3. Rows 0–199 fill every
+	// slot and spill; then every third row is hammered, so entries pin in
+	// all three words while the spillover count keeps rising.
+	var words []byte
+	for r := 0; r < 200; r++ {
+		words = append(words, byte(r))
+	}
+	for r := 0; r < 200; r += 3 {
+		words = append(words, byte(r), byte(r), byte(r), byte(r+1))
+	}
+	f.Add(uint8(129), uint8(2), uint16(0), words)
 	f.Fuzz(func(t *testing.T, nentrySeed, thrSeed uint8, resetPeriod uint16, stream []byte) {
-		nentry := int(nentrySeed%12) + 1
+		nentry := int(nentrySeed)%160 + 1
 		thr := int64(thrSeed%80) + 1
 		reset := int(resetPeriod % 64)
 		opt, err := NewTable(nentry, thr)

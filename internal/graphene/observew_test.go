@@ -81,13 +81,15 @@ func TestObserveWMatchesUnits(t *testing.T) {
 		// One call crosses T several times: several triggers, the entry
 		// pins on the first, the stored count wraps.
 		{"weight-past-T", 2, 3, []wOp{{row: 5, w: 1}, {row: 5, w: 10}, {row: 5, w: 7}, {row: 6, w: 3}}},
-		// Hits on an entry already pinned: no bucket moves, count wraps.
+		// Hits on an entry already pinned: the count wraps and the
+		// unpinned bitmap is left alone.
 		{"pinned-entry", 2, 4, []wOp{{row: 5, w: 4}, {row: 5, w: 3}, {row: 5, w: 9}, {row: 6, w: 2}, {row: 7, w: 1}, {row: 5, w: 1}}},
 		// Row 2 misses and spills until the spillover reaches row 1's
 		// count, replaces it, and takes the remaining units as hits.
 		{"miss-then-hit", 1, 50, []wOp{{row: 1, w: 3}, {row: 2, w: 9}, {row: 2, w: 5}}},
-		// The +w bucket move skips past, lands on, and lands between the
-		// buckets of other slots.
+		// A +w hit skips past, lands on, and lands between other slots'
+		// counts; the next miss must still pick the lowest-index slot at
+		// the spillover count.
 		{"bucket-moves", 4, 100, []wOp{{row: 1, w: 2}, {row: 2, w: 5}, {row: 3, w: 9}, {row: 1, w: 3}, {row: 2, w: 7}, {row: 4, w: 1}, {row: 4, w: 12}}},
 		// All-distinct rows drive a one-entry table's spillover past T
 		// inside a single call.

@@ -6,11 +6,10 @@ import (
 )
 
 // ReferenceTable is the naive O(Nentry) implementation of the Misra-Gries
-// counter table — the production Table before the count-bucket index, kept
-// alive verbatim as the differential oracle. Its miss path linearly scans
-// every slot for a spillover-count match in index order, exactly like the
-// paper's Count-CAM search read as sequential software (Fig. 5). Table
-// must match it byte for byte: same trigger sequence, same spillover
+// counter table, kept as the differential oracle. Its miss path linearly
+// scans every slot for a spillover-count match in index order, exactly
+// like the paper's Count-CAM search read as sequential software (Fig. 5).
+// Table must match it byte for byte: same trigger sequence, same spillover
 // values, same EstimatedCount/Tracked views, eviction victim for eviction
 // victim. The equivalence tests and fuzz targets enforce that.
 //
@@ -103,8 +102,8 @@ func (tb *ReferenceTable) Observe(row int) (trigger bool) {
 	}
 
 	// Row address MISS: linear scan for an entry whose estimated count
-	// equals the spillover count — O(Nentry), the cost the count-bucket
-	// index removes.
+	// equals the spillover count — O(Nentry) per miss, the cost Table's
+	// cursor amortizes away.
 	for i := range tb.entries {
 		e := &tb.entries[i]
 		if e.overflow || e.count != tb.spill {
@@ -155,7 +154,8 @@ func (tb *ReferenceTable) Tracked() []TrackedRow {
 }
 
 // CheckInvariants verifies the same structural facts as
-// Table.CheckInvariants (minus the bucket-index checks, which do not apply).
+// Table.CheckInvariants (minus the bitmap and cursor checks, which do not
+// apply).
 func (tb *ReferenceTable) CheckInvariants() error {
 	sum := tb.spill
 	for _, e := range tb.entries {

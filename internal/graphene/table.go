@@ -3,6 +3,8 @@ package graphene
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"graphene/internal/obs"
 )
@@ -30,20 +32,31 @@ type entry struct {
 // into victim refreshes. It has no notion of time; reset-window management
 // also lives in Bank.
 //
-// The miss path is O(1): the count-bucket index (bucketindex.go) answers
-// the Count-CAM search — "is there a non-overflow entry whose count equals
-// the spillover count, and which has the lowest slot index?" — with one
-// head-bucket compare and two find-first-set operations, where the
-// hardware uses a parallel CAM and ReferenceTable a linear scan. Both
+// The miss path's Count-CAM search — "which non-overflow entry with the
+// lowest slot index has a count equal to the spillover count?" — is a
+// forward-only cursor over a bitmap of unpinned slots, where the hardware
+// uses a parallel CAM and ReferenceTable a linear scan. While the
+// spillover count holds one value, counts only grow and pinned slots stay
+// pinned, so a slot that stops being a candidate never becomes one again
+// and the lowest-index candidate can only move right. The cursor restarts
+// at slot 0 when the spillover count rises or the window resets. A slot is
+// passed over at most once per spillover value below its count, so the
+// walk costs amortized O(1) per ACT plus ⌈Nentry/64⌉ bitmap words per
+// spillover bump, and the hit path keeps no bookkeeping at all. Both
 // implementations are byte-identical in every observable; the equivalence
 // tests and fuzz targets prove it.
 type Table struct {
 	t        int64
 	entries  []entry
-	index    *addrIndex   // row address -> entry slot, mirrors the Address-CAM
-	idx      *bucketIndex // count -> slot buckets, mirrors the Count-CAM
-	spill    int64        // spillover count register
-	observed int64        // ACTs observed since the last reset
+	index    *addrIndex // row address -> entry slot, mirrors the Address-CAM
+	spill    int64      // spillover count register
+	observed int64      // ACTs observed since the last reset
+
+	// unpinned holds one bit per slot, set while the slot's overflow bit
+	// is clear: the slots the Count-CAM search may pick. No unpinned slot
+	// below cur holds count == spill.
+	unpinned []uint64
+	cur      int
 
 	// windowTriggers counts threshold hits since the last reset; it keeps
 	// the count-conservation invariant checkable across window resets.
@@ -70,8 +83,8 @@ func NewTable(nentry int, t int64) (*Table, error) {
 	}
 	tb := &Table{
 		t: t, entries: make([]entry, nentry),
-		index: newAddrIndex(nentry),
-		idx:   newBucketIndex(nentry),
+		index:    newAddrIndex(nentry),
+		unpinned: make([]uint64, (nentry+63)/64),
 	}
 	tb.Reset()
 	return tb, nil
@@ -80,11 +93,13 @@ func NewTable(nentry int, t int64) (*Table, error) {
 // Reset clears the table and the spillover count (the per-window reset of
 // §III-B).
 func (tb *Table) Reset() {
+	clear(tb.unpinned)
 	for i := range tb.entries {
 		tb.entries[i] = entry{addr: -1}
+		tb.unpinned[i>>6] |= 1 << (uint(i) & 63)
 	}
 	tb.index.clear()
-	tb.idx.reset()
+	tb.cur = 0
 	tb.spill = 0
 	tb.observed = 0
 	tb.windowTriggers = 0
@@ -164,13 +179,14 @@ func (tb *Table) Observe(row int) (trigger bool) {
 }
 
 // observeMiss handles an address-missing activation: the single Count-CAM
-// search of Fig. 5, answered in O(1) by the head bucket of the count index
-// (every non-overflow count is >= the spillover count, so a candidate
-// exists iff the minimum count equals it). Shared by ObserveW (and through
-// it Observe) and the fused ObserveRun loop so the replacement/spill logic
-// exists once.
+// search of Fig. 5. Every non-overflow count is >= the spillover count, so
+// the search walks the unpinned slots from the cursor to the first one
+// whose count equals it; the cursor then rests just past that slot, whose
+// count is about to exceed the spillover count. Shared by ObserveW (and
+// through it Observe) and the fused ObserveRun loop so the replacement/
+// spill logic exists once.
 func (tb *Table) observeMiss(addr int32) (trigger bool) {
-	if i, ok := tb.idx.candidate(tb.spill); ok {
+	if i := tb.candidate(); i >= 0 {
 		// Entry replace: carry the old count over, +1 for this ACT.
 		tb.replacements++
 		e := &tb.entries[i]
@@ -190,20 +206,47 @@ func (tb *Table) observeMiss(addr int32) (trigger bool) {
 		if e.count == tb.t {
 			e.count = 0
 			e.overflow = true
-			tb.idx.pin(i)
+			tb.pin(i)
 			e.triggers++
 			tb.triggers++
 			tb.windowTriggers++
 			return true
 		}
-		tb.idx.advance(i, 1)
 		return false
 	}
 
-	// No replacement candidate: bump the spillover count.
+	// No replacement candidate: bump the spillover count. Every unpinned
+	// count may now equal it, so the search starts over at slot 0.
 	tb.spills++
 	tb.spill++
+	tb.cur = 0
 	return false
+}
+
+// candidate returns the lowest-index unpinned slot whose count equals the
+// spillover count and moves the cursor past it, or returns -1 when no slot
+// qualifies.
+func (tb *Table) candidate() int {
+	entries, spill := tb.entries, tb.spill
+	mask := ^uint64(0) << (uint(tb.cur) & 63)
+	for w := tb.cur >> 6; w < len(tb.unpinned); w++ {
+		for word := tb.unpinned[w] & mask; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			if entries[i].count == spill {
+				tb.cur = i + 1
+				return i
+			}
+		}
+		mask = ^uint64(0)
+	}
+	return -1
+}
+
+// pin takes slot i out of the Count-CAM search: its overflow bit is set
+// and by Lemma 2 it can never again be a replacement candidate this
+// window.
+func (tb *Table) pin(i int) {
+	tb.unpinned[i>>6] &^= 1 << (uint(i) & 63)
 }
 
 // ObserveRun feeds a run of row activations to the table — the batch
@@ -219,8 +262,9 @@ func (tb *Table) observeMiss(addr int32) (trigger bool) {
 // The address-CAM probe and the hit-path count increment are inlined with
 // the index arrays, threshold, and entry slice loaded once per run instead
 // of once per ACT; misses fall through to the shared observeMiss slow
-// path. Every observable — counters, bucket index, eviction events —
-// mutates exactly as the equivalent Observe sequence would.
+// path. Every observable — counters, the unpinned bitmap and cursor,
+// eviction events — mutates exactly as the equivalent Observe sequence
+// would.
 func (tb *Table) ObserveRun(rows []int32) (consumed int, trigger, alertEdge bool) {
 	keys, vals, mask := tb.index.keys, tb.index.vals, tb.index.mask
 	entries, t := tb.entries, tb.t
@@ -249,16 +293,13 @@ func (tb *Table) ObserveRun(rows []int32) (consumed int, trigger, alertEdge bool
 				e.count = 0
 				if !e.overflow {
 					e.overflow = true
-					tb.idx.pin(slot)
+					tb.pin(slot)
 				}
 				e.triggers++
 				tb.triggers++
 				tb.windowTriggers++
 				tb.observed += int64(n)
 				return n, true, false
-			}
-			if !e.overflow {
-				tb.idx.advance(slot, 1)
 			}
 			continue
 		}
@@ -280,11 +321,11 @@ func (tb *Table) ObserveRun(rows []int32) (consumed int, trigger, alertEdge bool
 // counts as w unit observations of row — the RowPress-aware increment
 // (mitigation.RowpressIncrement). It is semantically exactly w Observe
 // calls: the same Misra-Gries moves, the same count conservation (observed
-// advances by w), the same bucket-index state. trigger reports whether any
-// of the w units reached a multiple of T — the caller issues one victim
-// refresh for the whole ACT, since a single NRR already restores the full
-// charge of every neighbor — and alertEdge reports the spillover alert's
-// rising edge within the call.
+// advances by w), the same unpinned bitmap and cursor. trigger reports
+// whether any of the w units reached a multiple of T — the caller issues
+// one victim refresh for the whole ACT, since a single NRR already
+// restores the full charge of every neighbor — and alertEdge reports the
+// spillover alert's rising edge within the call.
 //
 // Units replay one at a time only while the row misses (each miss may
 // replace an entry or bump the spillover count). Once the row holds an
@@ -316,7 +357,8 @@ func (tb *Table) ObserveW(row int, w int64) (trigger, alertEdge bool) {
 // advances by w with wrap at T, each wrap is one trigger (the stored count
 // restarts while the overflow bit stays high until the window ends), and
 // the entry pins on its first overflow exactly as the unit-by-unit walk
-// would pin it. Without a wrap the slot makes one +w bucket move.
+// would pin it. A hit never makes a slot a replacement candidate, so the
+// cursor stays where it is.
 func (tb *Table) hitW(i int, w int64) (trigger bool) {
 	tb.observed += w
 	tb.hits += w
@@ -324,16 +366,13 @@ func (tb *Table) hitW(i int, w int64) (trigger bool) {
 	total := e.count + w
 	if total < tb.t {
 		e.count = total
-		if !e.overflow {
-			tb.idx.advance(i, w)
-		}
 		return false
 	}
 	wraps := total / tb.t
 	e.count = total - wraps*tb.t
 	if !e.overflow {
 		e.overflow = true
-		tb.idx.pin(i)
+		tb.pin(i)
 	}
 	e.triggers += wraps
 	tb.triggers += wraps
@@ -392,15 +431,25 @@ type TrackedRow struct {
 //     undersized table (tests build them deliberately) may drive the
 //     spillover past T, where pinning deviates from pure Misra-Gries by
 //     design, so the clause is only enforced below T;
-//   - count-bucket index consistency: every non-overflow slot sits in
-//     exactly the bucket of its stored count, buckets are strictly sorted,
-//     and the bitmaps agree with their population counters.
+//   - Count-CAM search state: the unpinned bitmap holds exactly the
+//     non-overflow slots, and none of them below the cursor holds the
+//     spillover count.
 //
 // It returns a descriptive error on the first violation. Tests call it
 // after every step of randomized streams.
 func (tb *Table) CheckInvariants() error {
-	if err := tb.idx.check(tb.entries); err != nil {
-		return err
+	unpinned := make([]uint64, len(tb.unpinned))
+	for i, e := range tb.entries {
+		if e.overflow {
+			continue
+		}
+		unpinned[i>>6] |= 1 << (uint(i) & 63)
+		if i < tb.cur && e.count == tb.spill {
+			return fmt.Errorf("graphene: slot %d below cursor %d holds the spillover count %d", i, tb.cur, tb.spill)
+		}
+	}
+	if !slices.Equal(unpinned, tb.unpinned) {
+		return fmt.Errorf("graphene: unpinned bitmap %x, overflow bits say %x", tb.unpinned, unpinned)
 	}
 	sum := tb.spill
 	for _, e := range tb.entries {

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"graphene/internal/dram"
+	"graphene/internal/graphene"
 	"graphene/internal/memctrl"
+	"graphene/internal/mitigation"
 	"graphene/internal/trace"
 	"graphene/internal/workload"
 )
@@ -106,21 +108,18 @@ func TestTailoredAttacksActuallyBite(t *testing.T) {
 // FuzzGrapheneSoundThroughController searches for an access pattern that
 // makes Graphene miss a victim end to end: through memctrl.Run, with its
 // auto-refresh interleaving, reset windows and RowPress weighting, judged
-// by the ground-truth oracle. Every three fuzz bytes are one tuple of the
-// attack's cycle: a row offset from mid in [-8, 8], a gap of 0-3 tRC
-// before the ACT, and a dwell of 0 (the device minimum) or 1-16 x nRAS.
-// The cycle repeats for 1.5 refresh windows at the compressed timing of
+// by the ground-truth oracle. The leading fuzz byte picks the reset-window
+// divisor k in 1–4 (Nentry 193, 144, 128 or 120, so the table's unpinned
+// bitmap spans two to four words). Every three bytes after it are one
+// tuple of the attack's cycle: a row offset from mid in [-8, 247], a gap
+// of 0-3 tRC before the ACT, and a dwell of 0 (the device minimum) or 1-16
+// x nRAS. Offsets below 9 hammer the ±8 neighbourhood of mid; the wider
+// range lets a cycle hold more distinct rows than the table has entries,
+// so it also drives evictions and the spillover count. The cycle repeats
+// for 1.5 refresh windows at the compressed timing of
 // TestCounterSchemeSoundnessMatrix. The paper's Theorem (§III-C) says no
 // pattern flips a bit or brings any row to TRH.
 func FuzzGrapheneSoundThroughController(f *testing.F) {
-	f.Add([]byte{7, 0, 0, 9, 0, 0}) // double-sided around mid
-	var sixteen []byte
-	for off := byte(0); off < 16; off++ {
-		sixteen = append(sixteen, off, 0, 0) // rows mid-8 ... mid+7
-	}
-	f.Add(sixteen)
-	f.Add([]byte{7, 0, 16, 9, 0, 16}) // rowpress-double: 16 x nRAS per ACT
-
 	timing := dram.Timing{
 		TREFI: 244 * dram.Nanosecond, TRFC: 20 * dram.Nanosecond,
 		TRC: 45 * dram.Nanosecond, TRCD: 13300, TRP: 13300, TCL: 13300,
@@ -137,19 +136,48 @@ func FuzzGrapheneSoundThroughController(f *testing.F) {
 		Seed:     1,
 		Rowpress: true,
 	}
-	factory, display, err := BuildScheme("graphene", trh, 2, 1, rows, sc)
-	if err != nil {
-		f.Fatal(err)
+	var factories [4]mitigation.Factory
+	var displays [4]string
+	for i := range factories {
+		var err error
+		factories[i], displays[i], err = BuildScheme("graphene", trh, i+1, 1, rows, sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+
+	f.Add([]byte{2, 7, 0, 0, 9, 0, 0}) // k=2, double-sided around mid
+	sixteen := []byte{2}
+	for off := byte(0); off < 16; off++ {
+		sixteen = append(sixteen, off, 0, 0) // rows mid-8 ... mid+7
+	}
+	f.Add(sixteen)
+	f.Add([]byte{2, 7, 0, 16, 9, 0, 16}) // rowpress-double: 16 x nRAS per ACT
+	// One seed per other k: rotate one row more than the table holds, the
+	// Misra-Gries worst case; the k=4 rotation dwells 8 x nRAS per ACT.
+	for _, s := range []struct{ k, dwell byte }{{1, 0}, {3, 0}, {4, 8}} {
+		p, err := graphene.Config{TRH: trh, K: int(s.k), Rows: rows, Timing: timing, Rowpress: true}.Derive()
+		if err != nil {
+			f.Fatal(err)
+		}
+		rotate := []byte{s.k}
+		for off := 0; off <= p.NEntry; off++ {
+			rotate = append(rotate, byte(off), 0, s.dwell)
+		}
+		f.Add(rotate)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cycle := make([]trace.Access, len(data)/3)
-		if len(cycle) == 0 {
+		if len(data) < 4 {
 			return
 		}
+		k := int(data[0]-1)%4 + 1 // bytes 1-4 are k itself
+		factory, display := factories[k-1], displays[k-1]
+		data = data[1:]
+		cycle := make([]trace.Access, len(data)/3)
 		for i := range cycle {
 			b := data[3*i : 3*i+3]
 			cycle[i] = trace.Access{
-				Row:   mid + int(b[0]%17) - 8,
+				Row:   mid + int(b[0]) - 8,
 				Gap:   dram.Time(b[1]%4) * timing.TRC,
 				Dwell: dram.Time(b[2]%17) * timing.NRAS(),
 			}

@@ -8,10 +8,13 @@ import (
 )
 
 // LoadTraces reads recorded trace files (text or binary, auto-detected by
-// magic) and returns them with a Scale whose geometry fits every trace:
-// sc's geometry when it already covers them, else a single-rank grid grown
-// to the maximum bank and row any trace touches. Trace names must be
-// distinct — the sweep keys its per-trace memoized baselines by name.
+// magic) and returns them with a Scale whose geometry is the traces' own:
+// one rank of as many banks as the traces touch (at least one, as
+// `rhtrace -replay -banks 0` picks), each with sc's rows per bank (the
+// device default's when sc has none) grown to the highest row any trace
+// touches. A one-bank recording thus replays on one bank, whatever sc's
+// bank count. Trace names must be distinct — the sweep keys its per-trace
+// memoized baselines by name.
 func LoadTraces(sc Scale, paths []string) ([]*trace.Trace, Scale, error) {
 	if len(paths) == 0 {
 		return nil, Scale{}, fmt.Errorf("sim: no trace files given")
@@ -37,20 +40,12 @@ func LoadTraces(sc Scale, paths []string) ([]*trace.Trace, Scale, error) {
 			needRows = r
 		}
 	}
+	rowsPerBank := sc.Geometry.RowsPerBank
+	if rowsPerBank == 0 {
+		rowsPerBank = dram.Default().RowsPerBank
+	}
 	eff := sc
-	if eff.Geometry == (dram.Geometry{}) {
-		eff.Geometry = dram.Default()
-	}
-	if eff.Geometry.Banks() < needBanks || eff.Geometry.RowsPerBank < needRows {
-		geo := dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: eff.Geometry.Banks(), RowsPerBank: eff.Geometry.RowsPerBank}
-		if geo.BanksPerRank < needBanks {
-			geo.BanksPerRank = needBanks
-		}
-		if geo.RowsPerBank < needRows {
-			geo.RowsPerBank = needRows
-		}
-		eff.Geometry = geo
-	}
+	eff.Geometry = dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: max(needBanks, 1), RowsPerBank: max(rowsPerBank, needRows)}
 	return traces, eff, nil
 }
 

@@ -49,8 +49,10 @@ func TestTraceSweepMixedFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.Geometry != sc.Geometry {
-		t.Errorf("traces fit sc but geometry changed: %+v", eff.Geometry)
+	// Both recordings touch bank 0 only, so they replay on one bank of
+	// sc's rows, not on sc's two banks.
+	if want := (dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: rows}); eff.Geometry != want {
+		t.Errorf("geometry %+v, want %+v", eff.Geometry, want)
 	}
 	if len(got) != 2 {
 		t.Fatalf("got %d rows, want 2", len(got))
@@ -80,8 +82,9 @@ func TestTraceSweepMixedFormats(t *testing.T) {
 }
 
 // TestLoadTracesGrowsGeometry: a trace touching more rows/banks than the
-// Scale's geometry must grow the effective geometry to fit, and duplicate
-// trace names must be rejected.
+// Scale's geometry must grow the effective geometry to exactly the banks
+// it touches and at least its rows, and duplicate trace names must be
+// rejected.
 func TestLoadTracesGrowsGeometry(t *testing.T) {
 	sc := fastScale()
 	dir := t.TempDir()
@@ -95,8 +98,8 @@ func TestLoadTracesGrowsGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.Geometry.Banks() < sc.Geometry.Banks()+3 {
-		t.Errorf("banks = %d, want ≥ %d", eff.Geometry.Banks(), sc.Geometry.Banks()+3)
+	if eff.Geometry.Banks() != sc.Geometry.Banks()+3 {
+		t.Errorf("banks = %d, want %d", eff.Geometry.Banks(), sc.Geometry.Banks()+3)
 	}
 	if eff.Geometry.RowsPerBank < sc.Geometry.RowsPerBank+101 {
 		t.Errorf("rows = %d, want ≥ %d", eff.Geometry.RowsPerBank, sc.Geometry.RowsPerBank+101)
@@ -112,8 +115,8 @@ func TestLoadTracesGrowsGeometry(t *testing.T) {
 	}
 }
 
-// TestLoadTracesDefaultGeometry: a zero-geometry Scale falls back to the
-// device default before fitting traces.
+// TestLoadTracesDefaultGeometry: a zero-geometry Scale takes the device
+// default's rows per bank, and the trace's own bank count.
 func TestLoadTracesDefaultGeometry(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTraceFile(t, dir, "small.bin", trace.FromSlice("small", []trace.Access{{Bank: 0, Row: 1}}), true)
@@ -121,8 +124,8 @@ func TestLoadTracesDefaultGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.Geometry != dram.Default() {
-		t.Errorf("geometry = %+v, want dram.Default()", eff.Geometry)
+	if want := (dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: dram.Default().RowsPerBank}); eff.Geometry != want {
+		t.Errorf("geometry = %+v, want %+v", eff.Geometry, want)
 	}
 }
 

@@ -67,6 +67,13 @@ bench-obs:
 bench-fault:
 	$(GO) test -run 'FaultInject|Checkpoint' -v ./internal/faultinject ./internal/sched ./internal/memctrl ./internal/trace ./internal/sim ./cmd/rhsweep
 
+# The bench-* gates below write each run's JSON to .bench_build/BENCH_*.json
+# (gitignored), never over the committed BENCH_*.json in the repository
+# root. Those are baselines: one run's numbers are noise, so a change
+# replaces a baseline only on purpose, after comparing against it
+# (ROADMAP item 1's ledger), by copying the file over by hand.
+BENCH_OUT = .bench_build
+
 # Replay hot-path gate (DESIGN.md §9): the testing.AllocsPerRun tests
 # assert the steady-state ACT loop allocates exactly zero, then the
 # microbenchmarks run once with -benchmem and rhbench converts the output
@@ -75,7 +82,8 @@ bench-fault:
 # the 7 allocs/op the pre-append API hid under integer rounding).
 bench-hotpath:
 	$(GO) test -run 'TestReplayHotPathZeroAlloc' ./internal/memctrl
-	$(GO) test -run xxx -bench 'BenchmarkHotPath' -benchtime 1000x -benchmem ./internal/memctrl | $(GO) run ./cmd/rhbench -o BENCH_hotpath.json -assert-zero-allocs 'BenchmarkHotPath'
+	@mkdir -p $(BENCH_OUT)
+	$(GO) test -run xxx -bench 'BenchmarkHotPath' -benchtime 1000x -benchmem ./internal/memctrl | $(GO) run ./cmd/rhbench -o $(BENCH_OUT)/BENCH_hotpath.json -assert-zero-allocs 'BenchmarkHotPath'
 
 # Trace codec gate: parse+replay-ingest cost per ACT for the text vs
 # binary formats, recorded to machine-readable BENCH_trace.json, with
@@ -83,7 +91,8 @@ bench-hotpath:
 # (BlockReader.NextCols, the only block decoder and what replay ingests)
 # vs the text parser.
 bench-trace:
-	$(GO) test -run xxx -bench 'BenchmarkTraceCodec' -benchtime 5x -count 3 ./internal/trace | $(GO) run ./cmd/rhbench -o BENCH_trace.json -assert-speedup 'decode-blocks:parse-text:10'
+	@mkdir -p $(BENCH_OUT)
+	$(GO) test -run xxx -bench 'BenchmarkTraceCodec' -benchtime 5x -count 3 ./internal/trace | $(GO) run ./cmd/rhbench -o $(BENCH_OUT)/BENCH_trace.json -assert-speedup 'decode-blocks:parse-text:10'
 
 # Batched replay gate (DESIGN.md §11): the zero-alloc test pins the batch
 # core's steady state at exactly 0 allocations, then the engine pair
@@ -102,7 +111,8 @@ bench-replay:
 	$(GO) test -run 'TestReplayBatchZeroAlloc|TestExtraTrafficWalkBounded' ./internal/memctrl
 	$(GO) test -run xxx -bench 'BenchmarkReplay(Engine|CRA)' -benchtime 500x -count 3 -benchmem ./internal/memctrl > BENCH_replay.txt
 	$(GO) test -run xxx -bench 'BenchmarkReplayAggregate' -benchtime 3x -count 3 -benchmem ./internal/memctrl >> BENCH_replay.txt
-	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o BENCH_replay.json -assert-speedup 'ReplayEngine/batch-trigger-light:ReplayEngine/scalar-trigger-light:3'
+	@mkdir -p $(BENCH_OUT)
+	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o $(BENCH_OUT)/BENCH_replay.json -assert-speedup 'ReplayEngine/batch-trigger-light:ReplayEngine/scalar-trigger-light:3'
 	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o /dev/null -assert-speedup 'ReplayEngine/batch-ddr5-trigger-light:ReplayEngine/scalar-ddr5-trigger-light:3'
 	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o /dev/null -assert-speedup 'batch-allbanks:scalar-allbanks:1.3'
 	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o /dev/null -assert-zero-allocs 'BenchmarkReplayEngine/batch'
@@ -117,7 +127,8 @@ bench-replay:
 bench-rowpress:
 	$(GO) test -run 'TestReplayBatchZeroAlloc/.*dwell' ./internal/memctrl
 	$(GO) test -run xxx -bench 'BenchmarkReplayRowpress' -benchtime 500x -count 3 -benchmem ./internal/memctrl > BENCH_rowpress.txt
-	$(GO) run ./cmd/rhbench -i BENCH_rowpress.txt -o BENCH_rowpress.json -assert-speedup 'ReplayRowpress/dwell:ReplayRowpress/plain:0.8'
+	@mkdir -p $(BENCH_OUT)
+	$(GO) run ./cmd/rhbench -i BENCH_rowpress.txt -o $(BENCH_OUT)/BENCH_rowpress.json -assert-speedup 'ReplayRowpress/dwell:ReplayRowpress/plain:0.8'
 	$(GO) run ./cmd/rhbench -i BENCH_rowpress.txt -o /dev/null -assert-zero-allocs 'BenchmarkReplayRowpress'
 	rm -f BENCH_rowpress.txt
 
@@ -143,7 +154,8 @@ bench-rowpress:
 bench-serve:
 	$(GO) test -run xxx -bench 'BenchmarkServePath' -benchtime 1x -count 3 ./internal/serve > BENCH_serve.txt
 	$(GO) test -run xxx -bench 'BenchmarkServeShards' -benchtime 1x -count 3 ./internal/serve >> BENCH_serve.txt
-	$(GO) run ./cmd/rhbench -i BENCH_serve.txt -o BENCH_serve.json -assert-speedup 'serve-aggregate:direct-aggregate:0.5'
+	@mkdir -p $(BENCH_OUT)
+	$(GO) run ./cmd/rhbench -i BENCH_serve.txt -o $(BENCH_OUT)/BENCH_serve.json -assert-speedup 'serve-aggregate:direct-aggregate:0.5'
 	$(GO) run ./cmd/rhbench -i BENCH_serve.txt -o /dev/null -assert-min 'serve-aggregate:acts/s:10000000'
 	$(GO) run ./cmd/rhbench -i BENCH_serve.txt -o /dev/null -assert-max 'serve-aggregate:b/act:16'
 	$(GO) run ./cmd/rhbench -i BENCH_serve.txt -o /dev/null -assert-speedup 'serve-resumable:serve-aggregate:0.75'
@@ -168,18 +180,20 @@ race:
 	$(GO) test -race -short -count=3 ./internal/faultinject/... ./internal/memctrl/... ./internal/sim/... ./internal/sched/... ./internal/mitigation/... ./internal/trace/... ./internal/serve/... ./internal/obs/... ./cmd/rhsimd/... ./cmd/rhload/... ./cmd/rhsweep/...
 
 # Short exploratory fuzz passes over the core invariants.
-# Two targets run costly inputs: FuzzGrapheneSoundThroughController
-# replays tens of thousands of ACTs per input whatever the input's
-# length, and FuzzTableMatchesReference compares every view of tables up
-# to 160 entries after each step. Go's default 60 s minimization of each
-# new input used up most of their 30 s budgets (most progress reports
-# read 0 execs/s), so they minimize with at most 100 runs.
+# Go minimizes each new interesting input for up to 60 s by default. On
+# five targets that held the workers for most of a 30 s pass (most
+# progress reports read 0 execs/s), so their lines cap minimization at
+# 100 runs: FuzzGrapheneSoundThroughController replays tens of thousands
+# of ACTs per input whatever the input's length, FuzzTableMatchesReference
+# compares every view of tables up to 160 entries after each step, and
+# the table-invariant, batch and ObserveW targets find new inputs often
+# enough to stall the same way.
 fuzz:
-	$(GO) test ./internal/graphene -fuzz=FuzzTableInvariants -fuzztime=30s -run xxx
+	$(GO) test ./internal/graphene -fuzz=FuzzTableInvariants -fuzztime=30s -fuzzminimizetime=100x -run xxx
 	$(GO) test ./internal/graphene -fuzz=FuzzBankNeverMissesTheorem -fuzztime=30s -run xxx
 	$(GO) test ./internal/graphene -fuzz=FuzzTableMatchesReference -fuzztime=30s -fuzzminimizetime=100x -run xxx
-	$(GO) test ./internal/graphene -fuzz=FuzzBatchAppend -fuzztime=30s -run xxx
-	$(GO) test ./internal/graphene -fuzz=FuzzObserveWMatchesUnits -fuzztime=30s -run xxx
+	$(GO) test ./internal/graphene -fuzz=FuzzBatchAppend -fuzztime=30s -fuzzminimizetime=100x -run xxx
+	$(GO) test ./internal/graphene -fuzz=FuzzObserveWMatchesUnits -fuzztime=30s -fuzzminimizetime=100x -run xxx
 	$(GO) test ./internal/trace -fuzz=FuzzBinaryReader -fuzztime=30s -run xxx
 	$(GO) test ./internal/trace -fuzz=FuzzReadFrom -fuzztime=30s -run xxx
 	$(GO) test ./internal/trace -fuzz=FuzzWriteName -fuzztime=30s -run xxx

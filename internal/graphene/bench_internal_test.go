@@ -100,17 +100,35 @@ func BenchmarkObserveMissSpill(b *testing.B) {
 // table (T 2083), the rows a power-of-two stride apart. A trace's sender
 // picks the stride, and rows a multiple of the Address-CAM index size
 // apart must not share a probe chain, so every stride should cost about
-// the same.
+// the same. The table resets, untimed, every ⌊T/3⌋ rotations: an entry's
+// count grows by at most ~2.2 a rotation, so none reaches T and pins,
+// and every miss replaces a live entry. Without the resets all 326
+// entries pin after ~2,000 rotations and the legs time the all-pinned
+// spill walk instead; a trigger fails the benchmark.
 func BenchmarkObserveRotationStride(b *testing.B) {
+	const rows, thr = 400, 2083
+	const resetEvery = rows * (thr / 3) // ACTs per 694 rotations
 	for _, stride := range []int{1, 128, 2048} {
 		b.Run(fmt.Sprintf("stride%d", stride), func(b *testing.B) {
-			tb, err := NewTable(326, 2083)
+			tb, err := NewTable(326, thr)
 			if err != nil {
 				b.Fatal(err)
 			}
+			left := resetEvery
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tb.Observe(i % 400 * stride)
+				if left == 0 {
+					b.StopTimer()
+					tb.Reset()
+					b.StartTimer()
+					left = resetEvery
+				}
+				left--
+				tb.Observe(i % rows * stride)
+			}
+			b.StopTimer()
+			if n := tb.Stats().Triggers; n != 0 {
+				b.Fatalf("%d triggers: an entry reached T and pinned, so the table stopped rotating", n)
 			}
 		})
 	}

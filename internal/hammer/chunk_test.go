@@ -388,3 +388,79 @@ func TestAutoRefreshWindowAllocatesNoChunks(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedChunksStartClean builds oracles on the arrays of a released
+// oracle that had latched flips in two chunks. Each must start with zero
+// disturbance, no latch bits and no flipAt entries, and must then match
+// a brand-new oracle (the dense reference) row for row, in TopVictims and
+// in its first flip. sync.Pool may drop what Release puts (the race
+// detector drops a quarter on purpose), so the test repeats until some
+// attempt reuses a released array, and fails if none does.
+func TestReleasedChunksStartClean(t *testing.T) {
+	const rows, trh = 2 * chunkRows, 40
+	hammered := []int{100, chunkRows + 100} // one aggressor per chunk
+	reused := 0
+	for attempt := 0; attempt < 8; attempt++ {
+		dirty := mustOracle(t, rows, trh, 1, nil)
+		for r := 0; r < rows; r += 2 {
+			dirty.AppendActivate(nil, r, 0) // leave every odd row disturbed
+		}
+		var flips []Flip
+		for i := 0; i < trh; i++ {
+			for _, r := range hammered {
+				flips = dirty.AppendActivate(flips, r, 1)
+			}
+		}
+		if len(flips) != 4 || len(dirty.flipAt) != 4 {
+			t.Fatalf("dirty oracle latched %d flips (%d flipAt entries), want 4", len(flips), len(dirty.flipAt))
+		}
+		released := map[*float64]bool{}
+		for _, c := range dirty.chunks {
+			released[&c.disturb[0]] = true
+		}
+		dirty.Release()
+		if top := dirty.TopVictims(1); len(top) != 0 || dirty.ACTs() != 0 || len(dirty.flipAt) != 0 {
+			t.Fatalf("released oracle kept state: top %v, %d ACTs, %d flipAt entries", top, dirty.ACTs(), len(dirty.flipAt))
+		}
+
+		o := mustOracle(t, rows, trh, 1, nil)
+		ref := newDenseOracle(rows, trh, 1, mitigation.UniformMu, 0)
+		var got, want []Flip
+		for i := 0; len(want) == 0; i++ {
+			for _, r := range []int{hammered[0] + 50, hammered[1] + 50} {
+				got = o.AppendActivate(got, r, dram.Time(i))
+				want = append(want, ref.activate(r, dram.Time(i), 0)...)
+			}
+			if i == 0 {
+				for ci, c := range o.chunks {
+					if released[&c.disturb[0]] {
+						reused++
+					}
+					for w, bits := range c.latched {
+						if bits != 0 {
+							t.Fatalf("chunk %d: latch word %d = %#x after the first ACT, want 0", ci, w, bits)
+						}
+					}
+				}
+				if len(o.flipAt) != 0 {
+					t.Fatalf("%d flipAt entries after the first ACT, want 0", len(o.flipAt))
+				}
+				for r := 0; r < rows; r++ {
+					if g, w := o.Disturbance(r), ref.disturb[r]; g != w {
+						t.Fatalf("after the first ACT: Disturbance(%d) = %v, want %v", r, g, w)
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("first flips = %v, want %v", got, want)
+		}
+		if g, w := o.TopVictims(5), ref.topVictims(5); !reflect.DeepEqual(g, w) {
+			t.Fatalf("TopVictims(5) = %v, want %v", g, w)
+		}
+		if reused > 0 {
+			return
+		}
+	}
+	t.Fatal("no attempt drew a released array from the pool")
+}

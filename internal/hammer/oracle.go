@@ -17,6 +17,7 @@ package hammer
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"graphene/internal/dram"
 	"graphene/internal/mitigation"
@@ -37,10 +38,10 @@ func (f Flip) String() string {
 // Oracle is the per-bank ground-truth disturbance tracker.
 //
 // Its state follows the rows a replay disturbs, not the bank's row count:
-// accumulators live in chunks of chunkRows consecutive rows, allocated on
-// the first ACT that disturbs a row in them. A row in an absent chunk reads
-// as zero and unlatched, so refreshing untouched rows allocates nothing and
-// touches no memory.
+// accumulators live in chunks of chunkRows consecutive rows, allocated (or
+// taken from the arrays Release pooled) on the first ACT that disturbs a
+// row in them. A row in an absent chunk reads as zero and unlatched, so
+// refreshing untouched rows allocates nothing and touches no memory.
 type Oracle struct {
 	rows     int
 	trh      float64
@@ -72,6 +73,15 @@ type chunk struct {
 	disturb []float64 // accumulator per row since its last refresh
 	latched []uint64  // flip latch bit per row, set until its next refresh
 }
+
+// disturbPool and latchPool hold the arrays of full chunks that released
+// oracles gave up (Release), so a process that replays trace after trace
+// reuses accumulator memory instead of allocating it for every replay. A
+// pooled array still holds its last oracle's values; alloc zeroes it.
+var (
+	disturbPool sync.Pool // of *[chunkRows]float64
+	latchPool   sync.Pool // of *[chunkRows / 64]uint64
+)
 
 // NewOracle builds an oracle for a bank with the given row count, Row
 // Hammer threshold, disturbance reach, and μ model (nil = UniformMu). A
@@ -268,10 +278,29 @@ func (o *Oracle) latch(dst []Flip, c *chunk, v int, now dram.Time) []Flip {
 
 // alloc gives chunk ci its arrays, sized to the rows the bank has from the
 // chunk's first row on, so a bank smaller than one chunk pays only for its
-// own rows.
+// own rows. A full chunk takes pooled arrays when there are any and zeroes
+// them here, on the goroutine that first disturbs the chunk, so the
+// caller that released them pays nothing for the clearing.
 func (o *Oracle) alloc(ci int) {
 	n := min(chunkRows, o.rows-ci*chunkRows)
-	o.chunks[ci] = chunk{disturb: make([]float64, n), latched: make([]uint64, (n+63)/64)}
+	var c chunk
+	if n == chunkRows {
+		if d, ok := disturbPool.Get().(*[chunkRows]float64); ok {
+			clear(d[:])
+			c.disturb = d[:]
+		}
+		if l, ok := latchPool.Get().(*[chunkRows / 64]uint64); ok {
+			clear(l[:])
+			c.latched = l[:]
+		}
+	}
+	if c.disturb == nil {
+		c.disturb = make([]float64, n)
+	}
+	if c.latched == nil {
+		c.latched = make([]uint64, (n+63)/64)
+	}
+	o.chunks[ci] = c
 }
 
 // RefreshRow restores row's charge: its disturbance accumulator and flip
@@ -338,6 +367,23 @@ func (o *Oracle) Reset() {
 	for _, c := range o.chunks {
 		clear(c.disturb)
 		clear(c.latched)
+	}
+	clear(o.flipAt)
+	o.acts = 0
+}
+
+// Release clears the oracle as Reset does, but hands its full chunks'
+// arrays to a process-wide pool instead of zeroing them: later oracles
+// (this one included) draw from it as ACTs first disturb their chunks.
+// Call it once the oracle's state has been read for the last time; no
+// slice it returned earlier aliases the released arrays.
+func (o *Oracle) Release() {
+	for ci, c := range o.chunks {
+		if len(c.disturb) == chunkRows {
+			disturbPool.Put((*[chunkRows]float64)(c.disturb))
+			latchPool.Put((*[chunkRows / 64]uint64)(c.latched))
+		}
+		o.chunks[ci] = chunk{}
 	}
 	clear(o.flipAt)
 	o.acts = 0

@@ -22,7 +22,8 @@ const blockDepth = 2
 // must follow that reader's contract: every row/gap pair of a returned
 // block belongs to ColBlock.Bank in stream order, buf's columns are reused
 // for the block's backing storage, a block without an open-row dwell
-// leaves Dwells empty, and io.EOF marks a clean end of trace.
+// leaves Dwells empty, and io.EOF marks a clean end of trace. The router
+// pools buf again after the io.EOF call, so the source must not keep it.
 type BlockSource interface {
 	Name() string
 	NextCols(buf trace.ColBlock) (trace.ColBlock, error)
@@ -42,59 +43,76 @@ func RunBlocks(cfg Config, src BlockSource) (Result, error) {
 	})
 }
 
+// blockPool holds block buffers (*trace.ColBlock) between replays, with
+// empty columns of kept capacity, so a process that replays trace after
+// trace — a sweep's cells, a daemon's sessions — decodes into the columns
+// earlier replays grew.
+var blockPool sync.Pool
+
+// getBlock returns a pooled block buffer, or an empty one that its first
+// fill sizes.
+func getBlock() *trace.ColBlock {
+	if b, ok := blockPool.Get().(*trace.ColBlock); ok {
+		return b
+	}
+	return new(trace.ColBlock)
+}
+
+// putBlock empties b's columns and pools it. The caller guarantees that
+// nothing reads b's columns again.
+func putBlock(b *trace.ColBlock) {
+	*b = trace.ColBlock{Rows: b.Rows[:0], Gaps: b.Gaps[:0], Dwells: b.Dwells[:0]}
+	blockPool.Put(b)
+}
+
 // replayBlocks routes src's blocks into per-bank channels, each drained by
 // its own bank goroutine. It is the only ingest route: Run hands it a
 // generator adapter (stream.go), RunBlocks a decoder. The router runs on
-// the calling goroutine. Block buffers recycle through a shared free pool:
-// the router decodes into a recycled buffer, the bank goroutine returns it
-// after replay, so steady-state allocation is O(banks × blockDepth)
-// buffers regardless of trace length.
+// the calling goroutine. Block buffers circulate through a free list: the
+// router decodes into a free buffer, the bank goroutine returns it after
+// replay, so a replay holds O(banks × blockDepth) buffers regardless of
+// trace length. They come from blockPool and go back to it when the
+// replay ends, so a process allocates them once, not once per replay.
 //
 // Error discipline: a bank goroutine stores its first error in its bankOut
 // and keeps draining (so the router is never stranded mid-send), and a
 // router error — decode failure, out-of-range access, injected partition
-// fault — fails the run even if every started bank replayed cleanly.
+// fault — fails the run even if every started bank replayed cleanly. A
+// router error drops the buffers rather than pooling them.
 func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, error) {
 	nbanks := len(states)
 	outs := make([]bankOut, nbanks)
 
-	// Shared buffer pool. The budget covers every block that can be in
-	// flight at once (queued per bank plus one being replayed and one being
-	// decoded); buffers allocate lazily, so a trace touching few banks
-	// circulates few buffers.
+	// The free list holds every block that can be in flight at once
+	// (queued per bank plus one being replayed and one being decoded). It
+	// is a FIFO filled up front, so the router uses every buffer before it
+	// reuses one: how many buffers grow columns depends on the trace, not
+	// on how far the router runs ahead of the banks. A buffer grows its
+	// columns at its first decode, so a short trace leaves most of them
+	// empty.
 	budget := nbanks*(blockDepth+1) + 1
-	free := make(chan trace.ColBlock, budget)
-	made := 0
-	buffer := func() trace.ColBlock {
-		select {
-		case b := <-free:
-			return b
-		default:
-		}
-		if made < budget {
-			made++
-			return trace.ColBlock{} // the source sizes the columns to the block
-		}
-		return <-free
+	free := make(chan *trace.ColBlock, budget)
+	for range budget {
+		free <- getBlock()
 	}
 
 	// Every bank gets a drainer, so the router cannot deadlock on a send.
-	chans := make([]chan trace.ColBlock, nbanks)
+	chans := make([]chan *trace.ColBlock, nbanks)
 	var wg sync.WaitGroup
 	for bi := range states {
-		chans[bi] = make(chan trace.ColBlock, blockDepth)
+		chans[bi] = make(chan *trace.ColBlock, blockDepth)
 		wg.Add(1)
 		go func(bi int) {
 			defer wg.Done()
 			s, out := states[bi], &outs[bi]
-			for blk := range chans[bi] {
+			for b := range chans[bi] {
 				if out.err == nil {
-					out.err = replayBlock(cfg, nbanks, s, bi, out, blk)
+					out.err = replayBlock(cfg, nbanks, s, bi, out, *b)
 				}
 				// Recycle even after an error: the router may be blocked
 				// waiting for a free buffer. The free channel holds the
 				// whole budget, so this send never blocks.
-				free <- trace.ColBlock{Rows: blk.Rows[:0], Gaps: blk.Gaps[:0], Dwells: blk.Dwells[:0]}
+				free <- b
 			}
 		}(bi)
 	}
@@ -108,13 +126,16 @@ func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, 
 			}
 		}()
 		for {
-			blk, err := src.NextCols(buffer())
+			b := <-free
+			blk, err := src.NextCols(*b)
 			if err == io.EOF {
+				free <- b // the source left it untouched
 				return nil
 			}
 			if err != nil {
 				return err
 			}
+			*b = blk
 			if blk.Bank < 0 || blk.Bank >= nbanks {
 				// Route the whole block through the shared validator so the
 				// failure emits the same validate_fail event an out-of-range
@@ -128,12 +149,19 @@ func replayBlocks(cfg Config, src BlockSource, states []*bankState) ([]bankOut, 
 			if err := cfg.Fault.Hit(faultinject.SitePartition); err != nil {
 				return err
 			}
-			chans[blk.Bank] <- blk
+			chans[blk.Bank] <- b
 		}
 	}()
 	wg.Wait()
 	if err != nil {
 		return nil, err
+	}
+	// The bank goroutines have returned, so no block is read again, and
+	// every buffer is back on the free list — the one the router passed to
+	// the NextCols call that returned io.EOF included.
+	close(free)
+	for b := range free {
+		putBlock(b)
 	}
 	return outs, nil
 }

@@ -380,6 +380,9 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 				res.MaxDisturbance = max(res.MaxDisturbance, v.Disturbance)
 				res.TopVictims = append(res.TopVictims, BankVictim{Bank: bi, VictimReport: v})
 			}
+			// That was the oracle's last read: its chunks go to the pool
+			// the next replay's oracles draw from.
+			s.oracle.Release()
 		}
 		if s.extraFn != nil {
 			res.ExtraDRAMAccesses += s.extraFn()

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"io"
+	"slices"
 
 	"graphene/internal/dram"
 	"graphene/internal/trace"
@@ -26,16 +27,16 @@ type genSource struct {
 	banks int
 	rows  int
 
-	fill  []trace.ColBlock // per bank: the block being filled
-	ended bool             // gen is drained
-	tail  int              // next bank whose partial block is due after the end
+	fill  []*trace.ColBlock // per bank: the block being filled, nil until the bank's first access
+	ended bool              // gen is drained
+	tail  int               // next bank whose partial block is due after the end
 }
 
 func newGenSource(cfg Config, gen trace.Generator) *genSource {
 	banks := cfg.Geometry.Banks()
 	return &genSource{
 		gen: gen, cfg: cfg, banks: banks, rows: cfg.Geometry.RowsPerBank,
-		fill: make([]trace.ColBlock, banks),
+		fill: make([]*trace.ColBlock, banks),
 	}
 }
 
@@ -44,7 +45,8 @@ func (g *genSource) Name() string { return g.gen.Name() }
 
 // NextCols implements BlockSource. buf becomes the next fill of the bank
 // whose block it returns, so the adapter holds one buffer per bank on top
-// of the router's pool.
+// of the router's free list. Fills come from blockPool and go back to it
+// once the last partial block is out.
 func (g *genSource) NextCols(buf trace.ColBlock) (trace.ColBlock, error) {
 	for !g.ended {
 		a, ok := g.gen.Next()
@@ -57,10 +59,12 @@ func (g *genSource) NextCols(buf trace.ColBlock) (trace.ColBlock, error) {
 		if a.Bank < 0 || a.Bank >= g.banks || a.Row < 0 || a.Row >= g.rows {
 			return trace.ColBlock{}, validateAccess(g.cfg, g.banks, a)
 		}
-		f := &g.fill[a.Bank]
-		if cap(f.Rows) == 0 {
-			f.Rows = make([]int32, 0, streamChunk)
-			f.Gaps = make([]dram.Time, 0, streamChunk)
+		f := g.fill[a.Bank]
+		if f == nil {
+			f = getBlock()
+			f.Rows = slices.Grow(f.Rows, streamChunk)
+			f.Gaps = slices.Grow(f.Gaps, streamChunk)
+			g.fill[a.Bank] = f
 		}
 		f.Rows = append(f.Rows, int32(a.Row))
 		f.Gaps = append(f.Gaps, a.Gap)
@@ -82,8 +86,15 @@ func (g *genSource) NextCols(buf trace.ColBlock) (trace.ColBlock, error) {
 	for g.tail < g.banks {
 		b := g.tail
 		g.tail++
-		if len(g.fill[b].Rows) > 0 {
+		if f := g.fill[b]; f != nil && len(f.Rows) > 0 {
 			return g.cut(b, buf), nil
+		}
+	}
+	// Every block is out, so no fill is read again.
+	for b, f := range g.fill {
+		if f != nil {
+			putBlock(f)
+			g.fill[b] = nil
 		}
 	}
 	return trace.ColBlock{}, io.EOF
@@ -91,8 +102,9 @@ func (g *genSource) NextCols(buf trace.ColBlock) (trace.ColBlock, error) {
 
 // cut returns bank's filled block and makes buf, emptied, its next fill.
 func (g *genSource) cut(bank int, buf trace.ColBlock) trace.ColBlock {
-	blk := g.fill[bank]
+	f := g.fill[bank]
+	blk := *f
 	blk.Bank = bank
-	g.fill[bank] = trace.ColBlock{Rows: buf.Rows[:0], Gaps: buf.Gaps[:0], Dwells: buf.Dwells[:0]}
+	*f = trace.ColBlock{Rows: buf.Rows[:0], Gaps: buf.Gaps[:0], Dwells: buf.Dwells[:0]}
 	return blk
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"graphene/internal/dram"
 )
@@ -83,10 +84,27 @@ const (
 	segmentAccs = 1 << 16
 
 	// maxSegmentBytes rejects absurd payload lengths before allocating.
-	// The writer's segments encode ≤ segmentAccs accesses at ≤ 20 bytes
+	// The writer's segments encode ≤ segmentAccs accesses at ≤ 35 bytes
 	// each plus framing, far under this.
 	maxSegmentBytes = 16 << 20
+
+	// maxPooledPayload is the largest payload buffer a reader returns to
+	// payloadPool: the most WriteBinary emits for one segment — per access
+	// a 5-byte row delta, 10-byte gap and dwell deltas, and a 6-byte block
+	// head and 4-byte run when every access has a block and a run of its
+	// own, plus the flags, block count and run count — with resize's
+	// eighth of slack on top. Only a hand-made stream, one that pads its
+	// varints, has bigger segments; its buffer is dropped, so a hostile
+	// session cannot park a buffer near maxSegmentBytes in the pool.
+	maxPooledPayload = (segmentAccs*35 + 7) * 9 / 8
 )
+
+// payloadPool holds segment payload buffers (*[]byte) between readers. A
+// reader draws one for its first segment and returns it at the clean end
+// marker, so a process that decodes trace after trace — a daemon's
+// sessions, a benchmark's replays — reuses one buffer instead of growing
+// a new one per trace.
+var payloadPool sync.Pool
 
 // ErrNotBinary reports that a stream does not start with the binary
 // magic; ReadAuto uses it to fall back to the text parser.
@@ -395,8 +413,9 @@ type BlockReader struct {
 	// segment with the raw payload bytes exactly as they appeared on the
 	// wire (without the length prefix). The slice is only valid for the
 	// duration of the call — the reader reuses the buffer for the next
-	// segment. A non-nil error poisons the reader: the current decode call
-	// fails with it and no further segments are delivered. serve uses this
+	// segment, and other readers reuse it after the end marker. A non-nil
+	// error poisons the reader: the current decode call fails with it and
+	// no further segments are delivered. serve uses this
 	// to journal replayed segments for session resume and to pace partial
 	// reports; the hook fires at the single point where a segment is known
 	// complete, so a journaled segment is never a torn one.
@@ -404,7 +423,7 @@ type BlockReader struct {
 
 	state []bankState // per-bank state, grown to the highest bank a block names
 
-	payload     []byte // current segment bytes, reused
+	payload     []byte // current segment bytes, reused; drawn from payloadPool
 	off         int    // decode cursor within payload
 	segOpen     bool   // a segment's run list is still pending
 	segHasDwell bool   // current segment carries the dwell column
@@ -554,10 +573,16 @@ func (br *BlockReader) nextSegment() error {
 		if br.decoded != br.total {
 			return binErrf("truncated stream: header promises %d accesses, segments carry %d", br.total, br.decoded)
 		}
+		br.releasePayload()
 		return io.EOF
 	}
 	if n > maxSegmentBytes {
 		return binErrf("segment of %d bytes exceeds limit %d", n, maxSegmentBytes)
+	}
+	if br.payload == nil {
+		if p, ok := payloadPool.Get().(*[]byte); ok {
+			br.payload = *p
+		}
 	}
 	br.payload = resize(br.payload, int(n))
 	if _, err := io.ReadFull(br.src, br.payload); err != nil {
@@ -587,6 +612,18 @@ func (br *BlockReader) nextSegment() error {
 	br.lastBank = -1
 	br.segAccs = 0
 	return nil
+}
+
+// releasePayload hands the payload buffer to payloadPool once the clean
+// end marker is read: the last segment's OnSegment call has returned, and
+// neither NextCols nor ReadBinary reads the payload after the end. A
+// buffer over maxPooledPayload is dropped instead.
+func (br *BlockReader) releasePayload() {
+	p := br.payload
+	br.payload = nil
+	if cap(p) != 0 && cap(p) <= maxPooledPayload {
+		payloadPool.Put(&p)
+	}
 }
 
 // blockHead parses and validates the bank/count header of the next block

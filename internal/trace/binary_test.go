@@ -286,6 +286,10 @@ func TestNextColsPoolBuffersDoNotRegrow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Start from an empty payload of the reader's own, not from a buffer
+	// an earlier reader left in payloadPool, whose size this test does
+	// not control.
+	br.payload = []byte{}
 	// Each buffer goes back to the end of the FIFO right after its block,
 	// so the pool hands them out round robin.
 	pool := make([]ColBlock, banks*3+1)
@@ -318,6 +322,61 @@ func TestNextColsPoolBuffersDoNotRegrow(t *testing.T) {
 	if payloadGrowths > 1 {
 		t.Errorf("segment payload grew %d times over %d segments, want once", payloadGrowths, segments)
 	}
+}
+
+// TestPayloadPooledAtCleanEnd: a reader hands its payload buffer to
+// payloadPool at the clean end marker and holds none afterwards, and a
+// buffer over maxPooledPayload — only a stream with padded varints needs
+// one — never reaches the pool. sync.Pool may drop what it is given (the
+// race detector drops a quarter on purpose), so the test reads the trace
+// again until some pass finds its buffer in the pool.
+func TestPayloadPooledAtCleanEnd(t *testing.T) {
+	data := encodeBinary(t, "pooled", mixedTrace(2*segmentAccs, 4, 3))
+	// read decodes data to the end, starting from payload when it is not
+	// nil, and returns the first byte of the payload array it decoded into.
+	read := func(payload []byte) *byte {
+		br, err := NewBlockReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload != nil {
+			br.payload = payload
+		}
+		var used *byte
+		var blk ColBlock
+		for err == nil {
+			if blk, err = br.NextCols(blk); cap(br.payload) > 0 {
+				used = &br.payload[:1][0]
+			}
+		}
+		if err != io.EOF {
+			t.Fatal(err)
+		}
+		if br.payload != nil {
+			t.Fatalf("reader still holds a %d-byte payload buffer after the end marker", cap(br.payload))
+		}
+		return used
+	}
+	// drain empties the pool and reports whether it held the array at p.
+	drain := func(p *byte) (found bool) {
+		for {
+			b, _ := payloadPool.Get().(*[]byte)
+			if b == nil {
+				return found
+			}
+			if cap(*b) > maxPooledPayload {
+				t.Fatalf("pool holds a %d-byte payload buffer, limit %d", cap(*b), maxPooledPayload)
+			}
+			found = found || &(*b)[:1][0] == p
+		}
+	}
+	drain(read(make([]byte, 0, maxPooledPayload+1)))
+	for attempt := 0; attempt < 8; attempt++ {
+		if drain(read(nil)) {
+			return
+		}
+	}
+	t.Fatal("no pass found its payload buffer in the pool")
 }
 
 func TestBinaryRejectsTornTail(t *testing.T) {

@@ -13,9 +13,10 @@ import (
 
 // TestRecordedTraceOverheadAgreesAcrossCommands records the S3 attack the
 // way the README does (rhtrace -record S3 -windows 0.05 -to binary), then
-// replays the file through rhsim -trace and rhsweep -sweep trace. Both
-// must replay it on the one bank it touches, so the Graphene refresh
-// overhead rhsweep prints equals the one rhsim prints.
+// replays the file through rhsim -trace, rhtrace -replay and rhsweep
+// -sweep trace. All three must replay it on the one bank it touches, so
+// the Graphene refresh overhead rhtrace and rhsweep print equals the one
+// rhsim prints.
 func TestRecordedTraceOverheadAgreesAcrossCommands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three commands")
@@ -43,14 +44,19 @@ func TestRecordedTraceOverheadAgreesAcrossCommands(t *testing.T) {
 	path := filepath.Join(dir, "s3.bin")
 	cmd("rhtrace", "-record", "S3", "-windows", "0.05", "-to", "binary", "-o", path)
 
-	var simPct string
-	for _, line := range strings.Split(cmd("rhsim", "-trace", path), "\n") {
-		if rest, ok := strings.CutPrefix(line, "refresh overhead"); ok {
-			simPct = strings.TrimSpace(rest)
+	overhead := func(name string, args ...string) string {
+		t.Helper()
+		for _, line := range strings.Split(cmd(name, args...), "\n") {
+			if rest, ok := strings.CutPrefix(line, "refresh overhead"); ok {
+				return strings.TrimSpace(rest)
+			}
 		}
+		t.Fatalf("%s printed no refresh overhead line", name)
+		return ""
 	}
-	if simPct == "" {
-		t.Fatal("rhsim printed no refresh overhead line")
+	simPct := overhead("rhsim", "-trace", path)
+	if tracePct := overhead("rhtrace", "-replay", path); tracePct != simPct {
+		t.Errorf("rhtrace -replay prints Graphene overhead %q, rhsim -trace %q", tracePct, simPct)
 	}
 
 	recs, err := csv.NewReader(strings.NewReader(cmd("rhsweep", "-sweep", "trace", "-traces", path))).ReadAll()

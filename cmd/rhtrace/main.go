@@ -22,7 +22,6 @@ import (
 	"io"
 	"os"
 
-	"graphene/internal/dram"
 	"graphene/internal/memctrl"
 	"graphene/internal/sim"
 	"graphene/internal/stats"
@@ -40,7 +39,6 @@ func main() {
 		trh     = flag.Int64("trh", 50000, "Row Hammer threshold")
 		acts    = flag.Int64("acts", 200_000, "trace length for profile workloads")
 		windows = flag.Float64("windows", 0.1, "refresh windows for attack patterns")
-		banks   = flag.Int("banks", 0, "banks in the replay geometry (0 = auto: max bank in trace + 1)")
 		seed    = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
@@ -66,7 +64,7 @@ func main() {
 			os.Exit(1)
 		}
 	case *replay != "":
-		if err := doReplay(*replay, *scheme, *trh, *banks, *seed); err != nil {
+		if err := doReplay(*replay, *scheme, *trh, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "rhtrace:", err)
 			os.Exit(1)
 		}
@@ -169,13 +167,18 @@ func doConvert(in, out, to string) error {
 	return nil
 }
 
-// doReplay runs a trace file through the simulator under one scheme. The
-// format is auto-detected: a binary trace streams block-direct into the
-// bank-parallel replay path, with the geometry's bank count read straight
-// from the header; a text trace is parsed once and its single in-memory
-// pass both sizes the geometry and feeds the replay (the old path parsed
-// the file and then drained a generator copy a second time).
-func doReplay(path, scheme string, trh int64, banks int, seed int64) error {
+// doReplay runs a trace file through the simulator under one scheme, on
+// the geometry rhsim -trace and rhsweep -sweep trace give it: one rank of
+// the banks the trace touches, rows grown to its highest row
+// (sim.TraceGeometry). The format is auto-detected. A text trace is
+// parsed once, and that one in-memory pass both sizes the geometry and
+// feeds the replay. A binary trace names its banks in the header but not
+// its rows, so it streams block-direct into the bank-parallel replay path
+// on the default rows per bank, and the file is decoded once. Only a trace
+// that touches a row beyond them is read again: rowBound stops that replay
+// with the rows the trace needs, and the file is replayed from its start
+// on those rows, which needs a file that can seek.
+func doReplay(path, scheme string, trh, seed int64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -184,11 +187,8 @@ func doReplay(path, scheme string, trh int64, banks int, seed int64) error {
 
 	sc := sim.Quick()
 	sc.Seed = seed
-	replay := func(banks int, name string, naccs int64, run func(memctrl.Config) (memctrl.Result, error)) error {
-		if banks == 0 {
-			banks = 1 // empty trace: keep a valid 1-bank geometry
-		}
-		geo := dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: banks, RowsPerBank: sc.Geometry.RowsPerBank}
+	replay := func(name string, naccs int64, banks, rows int, run func(memctrl.Config) (memctrl.Result, error)) error {
+		geo := sim.TraceGeometry(sc, banks, rows)
 		factory, schemeName, err := sim.BuildScheme(scheme, trh, 2, 1, geo.RowsPerBank, sc)
 		if err != nil {
 			return err
@@ -199,7 +199,7 @@ func doReplay(path, scheme string, trh int64, banks int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("trace              %s (%d accesses, %d banks)\n", name, naccs, banks)
+		fmt.Printf("trace              %s (%d accesses, %d banks)\n", name, naccs, geo.BanksPerRank)
 		fmt.Printf("scheme             %s\n", schemeName)
 		fmt.Printf("victim refreshes   %d commands, %d rows\n", res.NRRCommands, res.RowsVictim)
 		fmt.Printf("refresh overhead   %s\n", stats.Pct(res.RefreshOverhead()))
@@ -214,10 +214,20 @@ func doReplay(path, scheme string, trh int64, banks int, seed int64) error {
 	br, err := trace.NewBlockReader(src)
 	switch {
 	case err == nil:
-		if banks == 0 {
-			banks = br.Banks()
+		err = replay(br.Name(), br.Total(), br.Banks(), 0, func(cfg memctrl.Config) (memctrl.Result, error) {
+			return memctrl.RunBlocks(cfg, &rowBound{BlockReader: br, rows: cfg.Geometry.RowsPerBank})
+		})
+		var need rowsBeyond
+		if !errors.As(err, &need) {
+			return err
 		}
-		return replay(banks, br.Name(), br.Total(), func(cfg memctrl.Config) (memctrl.Result, error) {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return fmt.Errorf("%w; replaying it on more rows needs a file that can seek: %w", need, err)
+		}
+		if br, err = trace.NewBlockReader(bufio.NewReader(f)); err != nil {
+			return err
+		}
+		return replay(br.Name(), br.Total(), br.Banks(), int(need), func(cfg memctrl.Config) (memctrl.Result, error) {
 			return memctrl.RunBlocks(cfg, br)
 		})
 	case errors.Is(err, trace.ErrNotBinary):
@@ -225,13 +235,46 @@ func doReplay(path, scheme string, trh int64, banks int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		if banks == 0 {
-			banks, _ = tr.Dims()
-		}
-		return replay(banks, tr.Name, int64(len(tr.Accs)), func(cfg memctrl.Config) (memctrl.Result, error) {
+		banks, rows := tr.Dims()
+		return replay(tr.Name, int64(len(tr.Accs)), banks, rows, func(cfg memctrl.Config) (memctrl.Result, error) {
 			return memctrl.Run(cfg, tr.Generator())
 		})
 	default:
 		return err
 	}
+}
+
+// rowBound is a binary trace streamed into a replay on rows rows per
+// bank. At the first block that touches a row beyond them it decodes the
+// rest of the trace and fails with rowsBeyond, the rows the whole trace
+// needs: every block before that one fits in rows.
+type rowBound struct {
+	*trace.BlockReader
+	rows int
+}
+
+// rowsBeyond is the rows per bank a trace needs, one past its highest
+// row, when that is more than its replay was started on.
+type rowsBeyond int
+
+func (n rowsBeyond) Error() string {
+	return fmt.Sprintf("trace touches row %d, beyond the default rows per bank", int(n)-1)
+}
+
+func (b *rowBound) NextCols(buf trace.ColBlock) (trace.ColBlock, error) {
+	blk, err := b.BlockReader.NextCols(buf)
+	need := b.rows
+	for err == nil {
+		for _, r := range blk.Rows {
+			need = max(need, int(r)+1)
+		}
+		if need == b.rows {
+			return blk, nil
+		}
+		blk, err = b.BlockReader.NextCols(blk)
+	}
+	if err == io.EOF && need > b.rows {
+		err = rowsBeyond(need)
+	}
+	return blk, err
 }

@@ -23,7 +23,7 @@ func TestRecordAndReplayRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(string(data), "# trace S3\n") {
 		t.Errorf("missing header: %q", string(data[:32]))
 	}
-	if err := doReplay(path, "graphene", 50000, 0, 1); err != nil {
+	if err := doReplay(path, "graphene", 50000, 1); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 }
@@ -33,7 +33,7 @@ func TestRecordProfileWorkload(t *testing.T) {
 	if err := doRecord("mcf", path, "auto", 50000, 5000, 0, 1); err != nil {
 		t.Fatalf("record: %v", err)
 	}
-	if err := doReplay(path, "twice", 50000, 0, 1); err != nil {
+	if err := doReplay(path, "twice", 50000, 1); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 }
@@ -45,7 +45,7 @@ func TestRecordUnknownWorkload(t *testing.T) {
 }
 
 func TestReplayMissingFile(t *testing.T) {
-	if err := doReplay(filepath.Join(t.TempDir(), "absent.trace"), "graphene", 50000, 0, 1); err == nil {
+	if err := doReplay(filepath.Join(t.TempDir(), "absent.trace"), "graphene", 50000, 1); err == nil {
 		t.Error("accepted missing file")
 	}
 }
@@ -58,7 +58,7 @@ func TestReplayDetectsUnprotectedFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 0.2 windows ≈ 271K ACTs > TRH 50K: flips guaranteed unprotected.
-	if err := doReplay(path, "none", 50000, 0, 1); err == nil {
+	if err := doReplay(path, "none", 50000, 1); err == nil {
 		t.Error("unprotected replay with flips did not error")
 	}
 }
@@ -138,7 +138,7 @@ func TestConvertDwellRoundTrip(t *testing.T) {
 	if err := os.WriteFile(torn, raw[:len(raw)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := doReplay(torn, "graphene", 50000, 0, 1); err == nil {
+	if err := doReplay(torn, "graphene", 50000, 1); err == nil {
 		t.Error("replayed a binary trace torn inside the dwell block")
 	}
 }
@@ -181,7 +181,7 @@ func TestRecordBinaryAndReplay(t *testing.T) {
 	if !trace.IsBinary(bufio.NewReader(bytes.NewReader(raw))) {
 		t.Fatal("-to binary did not produce a binary trace")
 	}
-	if err := doReplay(path, "graphene", 50000, 0, 1); err != nil {
+	if err := doReplay(path, "graphene", 50000, 1); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 }
@@ -198,8 +198,8 @@ func TestReplayBinaryMatchesText(t *testing.T) {
 	if err := doConvert(text, bin, "binary"); err != nil {
 		t.Fatal(err)
 	}
-	terr := doReplay(text, "none", 50000, 0, 1)
-	berr := doReplay(bin, "none", 50000, 0, 1)
+	terr := doReplay(text, "none", 50000, 1)
+	berr := doReplay(bin, "none", 50000, 1)
 	if (terr == nil) != (berr == nil) {
 		t.Errorf("text and binary replay disagree: text=%v binary=%v", terr, berr)
 	}
@@ -222,7 +222,56 @@ func TestReplayRejectsTornBinary(t *testing.T) {
 	if err := os.WriteFile(torn, raw[:len(raw)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := doReplay(torn, "graphene", 50000, 0, 1); err == nil {
+	if err := doReplay(torn, "graphene", 50000, 1); err == nil {
 		t.Error("replayed a torn binary trace without error")
+	}
+}
+
+// replayOutput runs doReplay and returns what it printed.
+func replayOutput(t *testing.T, path string) string {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = doReplay(path, "graphene", 50000, 1)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatalf("replay %s: %v", filepath.Base(path), err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(printed)
+}
+
+// wideTrace is a text trace that touches rows beyond the default 65,536
+// per bank, in two blocks: the highest row is in the later one.
+const wideTrace = "# trace wide\n0 5 0\n1 70000 100\n2 80000 50\n0 6 50\n"
+
+// TestReplayGrowsRowsToTrace: a trace that touches rows beyond the
+// default 65,536 rows per bank replays, from text and from its binary
+// conversion, on rows grown to its highest row, as rhsim -trace replays
+// it.
+func TestReplayGrowsRowsToTrace(t *testing.T) {
+	dir := t.TempDir()
+	text := filepath.Join(dir, "wide.trace")
+	if err := os.WriteFile(text, []byte(wideTrace), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(dir, "wide.bin")
+	if err := doConvert(text, bin, "binary"); err != nil {
+		t.Fatal(err)
+	}
+	got, want := replayOutput(t, bin), replayOutput(t, text)
+	if !strings.Contains(want, "(4 accesses, 3 banks)") {
+		t.Errorf("text replay printed\n%s\nwant 4 accesses on 3 banks", want)
+	}
+	if got != want {
+		t.Errorf("binary replay printed\n%s\ntext replay printed\n%s", got, want)
 	}
 }

@@ -30,12 +30,6 @@ func ShardOf(key string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// shardJob is one queued unit of shard work.
-type shardJob struct {
-	label string
-	fn    func()
-}
-
 // Shards is a long-lived pool of single-goroutine workers with bounded
 // FIFO queues — the session execution engine behind serve.Server. Where
 // Run executes a fixed batch and drains, Shards accepts work for the life
@@ -50,7 +44,7 @@ type shardJob struct {
 // Drain order is therefore deterministic per shard; shards drain
 // concurrently with respect to each other, exactly as they run.
 type Shards struct {
-	queues []chan shardJob
+	queues []chan func()
 	closed chan struct{}
 	once   sync.Once
 	wg     sync.WaitGroup
@@ -74,14 +68,14 @@ func NewShards(n, depth int, rec *obs.Recorder) *Shards {
 		depth = 8
 	}
 	p := &Shards{
-		queues: make([]chan shardJob, n),
+		queues: make([]chan func(), n),
 		closed: make(chan struct{}),
 		queued: make([]*obs.Gauge, n),
 		busy:   make([]*obs.Gauge, n),
 		jobs:   make([]*obs.Counter, n),
 	}
 	for i := range p.queues {
-		p.queues[i] = make(chan shardJob, depth)
+		p.queues[i] = make(chan func(), depth)
 		p.queued[i] = rec.Gauge(fmt.Sprintf("shard_%d_queued", i))
 		p.busy[i] = rec.Gauge(fmt.Sprintf("shard_%d_busy", i))
 		p.jobs[i] = rec.Counter(fmt.Sprintf("shard_%d_jobs_total", i))
@@ -95,24 +89,24 @@ func NewShards(n, depth int, rec *obs.Recorder) *Shards {
 func (p *Shards) N() int { return len(p.queues) }
 
 // Submit enqueues fn on the shard key hashes to, blocking while that
-// shard's queue is full, and returns the shard index. Once Submit returns
-// nil the job is guaranteed to run — even if Close begins immediately
-// after — in submission order relative to every other job on its shard.
-// ErrShardsClosed means the job was rejected and will never run.
-func (p *Shards) Submit(key, label string, fn func()) (int, error) {
+// shard's queue is full. Once Submit returns nil the job is guaranteed to
+// run — even if Close begins immediately after — in submission order
+// relative to every other job on its shard. ErrShardsClosed means the job
+// was rejected and will never run.
+func (p *Shards) Submit(key string, fn func()) error {
 	si := ShardOf(key, len(p.queues))
 	select {
 	case <-p.closed:
-		return si, ErrShardsClosed
+		return ErrShardsClosed
 	default:
 	}
 	select {
-	case p.queues[si] <- shardJob{label: label, fn: fn}:
+	case p.queues[si] <- fn:
 		p.queued[si].Add(1)
 		p.jobs[si].Inc()
-		return si, nil
+		return nil
 	case <-p.closed:
-		return si, ErrShardsClosed
+		return ErrShardsClosed
 	}
 }
 
@@ -142,10 +136,10 @@ func (p *Shards) worker(i int) {
 }
 
 // exec runs one job with the shard's gauges around it.
-func (p *Shards) exec(i int, j shardJob) {
+func (p *Shards) exec(i int, fn func()) {
 	p.queued[i].Add(-1)
 	p.busy[i].Add(1)
-	j.fn()
+	fn()
 	p.busy[i].Add(-1)
 }
 

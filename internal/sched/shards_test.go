@@ -44,7 +44,7 @@ func TestShardsPinning(t *testing.T) {
 		for j := 0; j < perKey; j++ {
 			j := j
 			wg.Add(1)
-			if _, err := p.Submit(key, key, func() {
+			if err := p.Submit(key, func() {
 				defer wg.Done()
 				mu.Lock()
 				if running[key] {
@@ -84,12 +84,12 @@ func TestShardsDrainOrderDeterministic(t *testing.T) {
 	var mu sync.Mutex
 	var ran []int
 	// Occupy the worker so all subsequent submissions queue up.
-	if _, err := p.Submit("k", "gate", func() { <-gate }); err != nil {
+	if err := p.Submit("k", func() { <-gate }); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		if _, err := p.Submit("k", "job", func() {
+		if err := p.Submit("k", func() {
 			mu.Lock()
 			ran = append(ran, i)
 			mu.Unlock()
@@ -112,7 +112,7 @@ func TestShardsDrainOrderDeterministic(t *testing.T) {
 			t.Fatalf("drain order not submission order: %v", ran)
 		}
 	}
-	if _, err := p.Submit("k", "late", func() {}); err != ErrShardsClosed {
+	if err := p.Submit("k", func() {}); err != ErrShardsClosed {
 		t.Fatalf("Submit after Close: err = %v, want ErrShardsClosed", err)
 	}
 }
@@ -133,7 +133,7 @@ func TestShardsSubmitCloseRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 50; i++ {
-					_, err := p.Submit(fmt.Sprintf("t-%d", g), "j", func() { ran.Add(1) })
+					err := p.Submit(fmt.Sprintf("t-%d", g), func() { ran.Add(1) })
 					if err == nil {
 						accepted.Add(1)
 					} else if err != ErrShardsClosed {
@@ -164,7 +164,7 @@ func TestShardsObsGauges(t *testing.T) {
 	for i := 0; i < jobs; i++ {
 		key := fmt.Sprintf("t-%d", i)
 		wg.Add(1)
-		if _, err := p.Submit(key, "j", func() { wg.Done() }); err != nil {
+		if err := p.Submit(key, func() { wg.Done() }); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestShardsDefaults(t *testing.T) {
 		t.Fatalf("N() = %d, want >= 1", p.N())
 	}
 	done := make(chan struct{})
-	if _, err := p.Submit("k", "j", func() { close(done) }); err != nil {
+	if err := p.Submit("k", func() { close(done) }); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	<-done

@@ -460,7 +460,7 @@ func (s *Server) admit(conn net.Conn) {
 		release()
 		return
 	}
-	if _, err := s.pool.Submit(sn.h.Tenant, sn.h.Tenant, func() {
+	if err := s.pool.Submit(sn.h.Tenant, func() {
 		sn.run()
 		release()
 	}); err != nil {
@@ -490,7 +490,7 @@ func (s *Server) handshake(conn net.Conn, fr *frameReader, id int64) (*session, 
 		return &session{h: h}, err
 	}
 
-	sn := &session{srv: s, conn: conn, fr: fr, id: id, handle: id, h: h}
+	sn := &session{srv: s, conn: conn, fr: fr, handle: id, h: h}
 	if h.Resume != nil {
 		jh, restored, err := s.prepareResume(h)
 		if err != nil {
@@ -521,8 +521,7 @@ type session struct {
 	srv    *Server
 	conn   net.Conn
 	fr     *frameReader
-	id     int64 // this connection's own sequence number
-	handle int64 // the Report session handle: the original id on resume
+	handle int64 // the Report session handle: this connection's number, the original on resume
 
 	h        Hello
 	factory  mitigation.Factory

@@ -7,14 +7,26 @@ import (
 	"graphene/internal/trace"
 )
 
+// TraceGeometry is the geometry a recorded trace replays on, given the
+// banks and rows it touches (highest index + 1, as trace.Trace.Dims
+// reports them): one rank of that many banks (at least one), each with
+// sc's rows per bank (the device default's when sc has none) grown to the
+// trace's rows. A one-bank recording thus replays on one bank, whatever
+// sc's bank count: an idle bank would add auto-refresh rows that dilute
+// the refresh overhead.
+func TraceGeometry(sc Scale, banks, rows int) dram.Geometry {
+	rowsPerBank := sc.Geometry.RowsPerBank
+	if rowsPerBank == 0 {
+		rowsPerBank = dram.Default().RowsPerBank
+	}
+	return dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: max(banks, 1), RowsPerBank: max(rowsPerBank, rows)}
+}
+
 // LoadTraces reads recorded trace files (text or binary, auto-detected by
-// magic) and returns them with a Scale whose geometry is the traces' own:
-// one rank of as many banks as the traces touch (at least one, as
-// `rhtrace -replay -banks 0` picks), each with sc's rows per bank (the
-// device default's when sc has none) grown to the highest row any trace
-// touches. A one-bank recording thus replays on one bank, whatever sc's
-// bank count. Trace names must be distinct — the sweep keys its per-trace
-// memoized baselines by name.
+// magic) and returns them with a Scale whose geometry is the traces' own,
+// the TraceGeometry of the most banks and rows any of them touches. Trace
+// names must be distinct — the sweep keys its per-trace memoized
+// baselines by name.
 func LoadTraces(sc Scale, paths []string) ([]*trace.Trace, Scale, error) {
 	if len(paths) == 0 {
 		return nil, Scale{}, fmt.Errorf("sim: no trace files given")
@@ -33,19 +45,10 @@ func LoadTraces(sc Scale, paths []string) ([]*trace.Trace, Scale, error) {
 		seen[tr.Name] = path
 		traces[i] = tr
 		b, r := tr.Dims()
-		if b > needBanks {
-			needBanks = b
-		}
-		if r > needRows {
-			needRows = r
-		}
-	}
-	rowsPerBank := sc.Geometry.RowsPerBank
-	if rowsPerBank == 0 {
-		rowsPerBank = dram.Default().RowsPerBank
+		needBanks, needRows = max(needBanks, b), max(needRows, r)
 	}
 	eff := sc
-	eff.Geometry = dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: max(needBanks, 1), RowsPerBank: max(rowsPerBank, needRows)}
+	eff.Geometry = TraceGeometry(sc, needBanks, needRows)
 	return traces, eff, nil
 }
 

@@ -9,8 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 
 	"graphene/internal/dram"
 )
@@ -89,22 +87,26 @@ const (
 	maxSegmentBytes = 16 << 20
 
 	// maxPooledPayload is the largest payload buffer a reader returns to
-	// payloadPool: the most WriteBinary emits for one segment — per access
+	// payloadFree: the most WriteBinary emits for one segment — per access
 	// a 5-byte row delta, 10-byte gap and dwell deltas, and a 6-byte block
 	// head and 4-byte run when every access has a block and a run of its
 	// own, plus the flags, block count and run count — with resize's
 	// eighth of slack on top. Only a hand-made stream, one that pads its
 	// varints, has bigger segments; its buffer is dropped, so a hostile
-	// session cannot park a buffer near maxSegmentBytes in the pool.
+	// session cannot park a buffer near maxSegmentBytes in the free list.
 	maxPooledPayload = (segmentAccs*35 + 7) * 9 / 8
 )
 
-// payloadPool holds segment payload buffers (*[]byte) between readers. A
-// reader draws one for its first segment and returns it at the clean end
-// marker, so a process that decodes trace after trace — a daemon's
-// sessions, a benchmark's replays — reuses one buffer instead of growing
-// a new one per trace.
-var payloadPool sync.Pool
+// payloadFree is a bounded free list of segment payload buffers, shared by
+// every reader on any goroutine. A reader draws one for its first segment
+// and returns it at the clean end marker, so a process that decodes trace
+// after trace — a daemon's sessions, a benchmark's replays — reuses one
+// buffer instead of growing a new one per trace. Unlike a sync.Pool it
+// keeps its buffers across collections and hands them to any P; a return
+// to a full list drops the buffer. Four covers the readers a process runs
+// at once (one per replay, one per rhsimd session in flight on a small
+// host) and caps what the list holds idle at 4 × maxPooledPayload.
+var payloadFree = make(chan []byte, 4)
 
 // ErrNotBinary reports that a stream does not start with the binary
 // magic; ReadAuto uses it to fall back to the text parser.
@@ -142,159 +144,107 @@ func binErrf(format string, args ...any) error {
 // binEncoder accumulates the stream segment by segment. Header fields
 // (banks, total) — and the format version, which depends on whether any
 // access anywhere carries a dwell — are only known once the generator is
-// drained, so encoded segment payloads buffer in memory (a few bytes per
-// access, unframed) and flush to the writer after the header with the
-// version-appropriate framing.
+// drained, so segments encode into body (a few bytes per access) and
+// flush to the writer after the header, framed for the version.
 type binEncoder struct {
 	scratch []Access // current segment, arrival order
-	body    []byte   // concatenated raw segment payloads so far
-	segs    []encSeg // framing for each payload in body
-	payload []byte   // reused per-segment encode buffer
-	runsEnc []byte   // reused run-list encode buffer
+	sorted  []Access // current segment, block order
+	body    []byte   // encoded segments so far, each behind its flags word
+	segs    []int    // byte length of each segment in body, flags word included
+	dwell   bool     // some segment carries the dwell column: version 2
 
-	prevRow   []int64 // per-bank delta state, grown on demand
-	prevGap   []int64
-	prevDwell []int64 // advances only across dwell-carrying segments
+	state []bankState // per-bank state, grown to maxBank
 
 	maxBank int
 	total   int64
 }
 
-// encSeg frames one buffered segment payload: its byte length within body
-// and its version-2 flags (0 in a trace that ends up version 1).
-type encSeg struct {
-	n     int
-	flags uint64
-}
-
-// grow extends the per-bank delta-state arrays to cover bank.
-func (e *binEncoder) grow(bank int) {
-	for len(e.prevRow) <= bank {
-		e.prevRow = append(e.prevRow, 0)
-		e.prevGap = append(e.prevGap, 0)
-		e.prevDwell = append(e.prevDwell, 0)
-	}
-}
-
-func (e *binEncoder) add(a Access) {
-	e.scratch = append(e.scratch, a)
-	if a.Bank > e.maxBank {
-		e.maxBank = a.Bank
-	}
-	e.total++
-	if len(e.scratch) >= segmentAccs {
-		e.flush()
-	}
-}
-
-// flush encodes the scratch segment into body.
+// flush encodes the scratch segment into body. One pass counts each
+// bank's accesses and the segment's runs and dwells; a counting sort over
+// the per-bank state then lays the accesses out in block order (ascending
+// bank, arrival order within a bank), so every count is known before the
+// bytes that carry it are written.
 func (e *binEncoder) flush() {
-	if len(e.scratch) == 0 {
+	seg := e.scratch
+	if len(seg) == 0 {
 		return
 	}
+	for len(e.state) <= e.maxBank {
+		e.state = append(e.state, bankState{})
+	}
+	st := e.state
 	// A segment carries the dwell column iff any of its accesses has one;
 	// a dwell-free segment of a dwell-carrying trace stays column-free
 	// (and leaves the per-bank dwell delta state untouched).
 	var flags uint64
-	for _, a := range e.scratch {
+	runs := 0
+	for i, a := range seg {
+		st[a.Bank].left++
 		if a.Dwell != 0 {
-			flags |= segFlagDwell
-			break
+			flags = segFlagDwell
+		}
+		if i == 0 || a.Bank != seg[i-1].Bank {
+			runs++
 		}
 	}
-	// Group per bank, preserving per-bank order.
-	banks := map[int][]Access{}
-	var order []int
-	for _, a := range e.scratch {
-		if _, ok := banks[a.Bank]; !ok {
-			order = append(order, a.Bank)
+	// Turn each count into its block's offset in sorted; banks absent
+	// from the segment keep their zero.
+	blocks := 0
+	var off int64
+	for b := range st {
+		if n := st[b].left; n != 0 {
+			st[b].left = off
+			off += n
+			blocks++
 		}
-		banks[a.Bank] = append(banks[a.Bank], a)
 	}
-	sort.Ints(order)
+	e.sorted = resize(e.sorted, len(seg))
+	for _, a := range seg {
+		e.sorted[st[a.Bank].left] = a
+		st[a.Bank].left++
+	}
+	// Each bank's left is now its block's end in sorted.
 
-	p := e.payload[:0]
-	p = binary.AppendUvarint(p, uint64(len(order)))
-	for _, bank := range order {
-		e.grow(bank)
-		col := banks[bank]
-		p = binary.AppendUvarint(p, uint64(bank))
-		p = binary.AppendUvarint(p, uint64(len(col)))
-		for _, a := range col {
-			p = binary.AppendVarint(p, int64(a.Row)-e.prevRow[bank])
-			e.prevRow[bank] = int64(a.Row)
+	start := len(e.body)
+	p := binary.AppendUvarint(e.body, flags)
+	p = binary.AppendUvarint(p, uint64(blocks))
+	for i := 0; i < len(e.sorted); {
+		s := &st[e.sorted[i].Bank]
+		blk := e.sorted[i:s.left]
+		s.left = 0
+		i += len(blk)
+		p = binary.AppendUvarint(p, uint64(blk[0].Bank))
+		p = binary.AppendUvarint(p, uint64(len(blk)))
+		for _, a := range blk {
+			p = binary.AppendVarint(p, int64(a.Row)-s.row)
+			s.row = int64(a.Row)
 		}
-		for _, a := range col {
-			p = binary.AppendVarint(p, int64(a.Gap)-e.prevGap[bank])
-			e.prevGap[bank] = int64(a.Gap)
+		for _, a := range blk {
+			p = binary.AppendVarint(p, int64(a.Gap)-s.gap)
+			s.gap = int64(a.Gap)
 		}
-		if flags&segFlagDwell != 0 {
-			for _, a := range col {
-				p = binary.AppendVarint(p, int64(a.Dwell)-e.prevDwell[bank])
-				e.prevDwell[bank] = int64(a.Dwell)
+		if flags != 0 {
+			for _, a := range blk {
+				p = binary.AppendVarint(p, int64(a.Dwell)-s.dwell)
+				s.dwell = int64(a.Dwell)
 			}
 		}
 	}
-	// Run-length encode the original interleaving into a side buffer (the
-	// run count precedes the runs, and is only known afterwards).
-	var runs int
-	rb := e.runsEnc[:0]
-	for i := 0; i < len(e.scratch); {
+	// Run-length encode the original interleaving.
+	p = binary.AppendUvarint(p, uint64(runs))
+	for i := 0; i < len(seg); {
 		j := i + 1
-		for j < len(e.scratch) && e.scratch[j].Bank == e.scratch[i].Bank {
+		for j < len(seg) && seg[j].Bank == seg[i].Bank {
 			j++
 		}
-		rb = binary.AppendUvarint(rb, uint64(e.scratch[i].Bank))
-		rb = binary.AppendUvarint(rb, uint64(j-i))
-		runs++
+		p = binary.AppendUvarint(p, uint64(seg[i].Bank))
+		p = binary.AppendUvarint(p, uint64(j-i))
 		i = j
 	}
-	e.runsEnc = rb
-	p = binary.AppendUvarint(p, uint64(runs))
-	p = append(p, rb...)
-
-	e.body = append(e.body, p...)
-	e.segs = append(e.segs, encSeg{n: len(p), flags: flags})
-	e.payload = p[:0]
-	e.scratch = e.scratch[:0]
-}
-
-// version returns the lowest format version that can carry the buffered
-// segments: 2 iff any segment needs a flags word, else 1.
-func (e *binEncoder) version() int {
-	for _, s := range e.segs {
-		if s.flags != 0 {
-			return 2
-		}
-	}
-	return 1
-}
-
-// writeSegments frames the buffered payloads for the given version and
-// writes them to w. Version 1 framing is uvarint(len) + payload — the
-// pre-dwell codec byte-for-byte; version 2 prefixes each payload with its
-// flags word inside the frame.
-func (e *binEncoder) writeSegments(w io.Writer, version int) error {
-	var flagsBuf, headBuf [binary.MaxVarintLen64]byte
-	off := 0
-	for _, s := range e.segs {
-		var head []byte
-		if version >= 2 {
-			flagsEnc := binary.AppendUvarint(flagsBuf[:0], s.flags)
-			head = binary.AppendUvarint(headBuf[:0], uint64(s.n)+uint64(len(flagsEnc)))
-			head = append(head, flagsEnc...)
-		} else {
-			head = binary.AppendUvarint(headBuf[:0], uint64(s.n))
-		}
-		if _, err := w.Write(head); err != nil {
-			return err
-		}
-		if _, err := w.Write(e.body[off : off+s.n]); err != nil {
-			return err
-		}
-		off += s.n
-	}
-	return nil
+	e.body = p
+	e.segs = append(e.segs, len(p)-start)
+	e.dwell = e.dwell || flags != 0
+	e.scratch = seg[:0]
 }
 
 // WriteBinary drains gen into w in the binary trace format and returns
@@ -318,21 +268,41 @@ func WriteBinary(w io.Writer, gen Generator) (int64, error) {
 		if err := checkDwell(int64(a.Dwell)); err != nil {
 			return 0, binErrf("access %d: %w", enc.total, err)
 		}
-		enc.add(a)
+		enc.scratch = append(enc.scratch, a)
+		enc.maxBank = max(enc.maxBank, a.Bank)
+		if enc.total++; len(enc.scratch) == segmentAccs {
+			enc.flush()
+		}
 	}
 	enc.flush()
 
-	banks := 0
+	banks, version := 0, 1
 	if enc.total > 0 {
 		banks = enc.maxBank + 1
 	}
-	version := enc.version()
-	head := AppendBinaryHeader(nil, name, banks, enc.total, version)
-	if _, err := w.Write(head); err != nil {
+	if enc.dwell {
+		version = 2
+	}
+	if _, err := w.Write(AppendBinaryHeader(nil, name, banks, enc.total, version)); err != nil {
 		return 0, err
 	}
-	if err := enc.writeSegments(w, version); err != nil {
-		return 0, err
+	// Frame each segment: uvarint length, then the segment. Version 1 is
+	// the pre-dwell codec, which has no flags word, so its one byte (every
+	// flags value fits one) is dropped.
+	var head [binary.MaxVarintLen64]byte
+	body := enc.body
+	for _, n := range enc.segs {
+		seg := body[:n]
+		body = body[n:]
+		if version == 1 {
+			seg = seg[1:]
+		}
+		if _, err := w.Write(binary.AppendUvarint(head[:0], uint64(len(seg)))); err != nil {
+			return 0, err
+		}
+		if _, err := w.Write(seg); err != nil {
+			return 0, err
+		}
 	}
 	if _, err := w.Write([]byte{0}); err != nil { // end marker
 		return 0, err
@@ -423,7 +393,7 @@ type BlockReader struct {
 
 	state []bankState // per-bank state, grown to the highest bank a block names
 
-	payload     []byte // current segment bytes, reused; drawn from payloadPool
+	payload     []byte // current segment bytes, reused; drawn from payloadFree
 	off         int    // decode cursor within payload
 	segOpen     bool   // a segment's run list is still pending
 	segHasDwell bool   // current segment carries the dwell column
@@ -436,11 +406,13 @@ type BlockReader struct {
 	done     bool
 }
 
-// bankState is one bank's decode state. row, gap and dwell are the delta
-// bases of its columns, carried across segments (dwell advances only
-// across dwell-carrying segments). left counts down the accesses of the
-// bank's block in the open segment that the run list has yet to replay;
-// it is zero for every bank between segments.
+// bankState is one bank's codec state, the reader's and the writer's.
+// row, gap and dwell are the delta bases of its columns, carried across
+// segments (dwell advances only across dwell-carrying segments). left is
+// per-segment scratch and zero for every bank between segments: the
+// reader counts down the accesses of the bank's block that the run list
+// has yet to replay, and the writer's flush counts the bank's accesses
+// and places its block.
 type bankState struct {
 	row, gap, dwell int64
 	left            int64
@@ -580,8 +552,9 @@ func (br *BlockReader) nextSegment() error {
 		return binErrf("segment of %d bytes exceeds limit %d", n, maxSegmentBytes)
 	}
 	if br.payload == nil {
-		if p, ok := payloadPool.Get().(*[]byte); ok {
-			br.payload = *p
+		select {
+		case br.payload = <-payloadFree:
+		default:
 		}
 	}
 	br.payload = resize(br.payload, int(n))
@@ -614,15 +587,19 @@ func (br *BlockReader) nextSegment() error {
 	return nil
 }
 
-// releasePayload hands the payload buffer to payloadPool once the clean
+// releasePayload hands the payload buffer to payloadFree once the clean
 // end marker is read: the last segment's OnSegment call has returned, and
 // neither NextCols nor ReadBinary reads the payload after the end. A
-// buffer over maxPooledPayload is dropped instead.
+// buffer over maxPooledPayload, or one the full list has no room for, is
+// dropped instead.
 func (br *BlockReader) releasePayload() {
 	p := br.payload
 	br.payload = nil
 	if cap(p) != 0 && cap(p) <= maxPooledPayload {
-		payloadPool.Put(&p)
+		select {
+		case payloadFree <- p:
+		default:
+		}
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -287,7 +289,7 @@ func TestNextColsPoolBuffersDoNotRegrow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Start from an empty payload of the reader's own, not from a buffer
-	// an earlier reader left in payloadPool, whose size this test does
+	// an earlier reader left in payloadFree, whose size this test does
 	// not control.
 	br.payload = []byte{}
 	// Each buffer goes back to the end of the FIFO right after its block,
@@ -324,59 +326,95 @@ func TestNextColsPoolBuffersDoNotRegrow(t *testing.T) {
 	}
 }
 
+// decodeToEnd decodes data to the end, starting from payload when it is
+// not nil, and returns the first byte of the payload array it decoded
+// into. The reader must hold no payload after the end marker.
+func decodeToEnd(data, payload []byte) (*byte, error) {
+	br, err := NewBlockReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	if payload != nil {
+		br.payload = payload
+	}
+	var used *byte
+	var blk ColBlock
+	for err == nil {
+		if blk, err = br.NextCols(blk); cap(br.payload) > 0 {
+			used = &br.payload[:1][0]
+		}
+	}
+	if err != io.EOF {
+		return nil, err
+	}
+	if br.payload != nil {
+		return nil, fmt.Errorf("reader still holds a %d-byte payload buffer after the end marker", cap(br.payload))
+	}
+	return used, nil
+}
+
+// drainPayloads empties payloadFree and reports whether it held the array
+// at p. It fails t on a buffer over maxPooledPayload.
+func drainPayloads(t *testing.T, p *byte) (found bool) {
+	t.Helper()
+	for {
+		select {
+		case b := <-payloadFree:
+			if cap(b) > maxPooledPayload {
+				t.Fatalf("free list holds a %d-byte payload buffer, limit %d", cap(b), maxPooledPayload)
+			}
+			found = found || &b[:1][0] == p
+		default:
+			return found
+		}
+	}
+}
+
 // TestPayloadPooledAtCleanEnd: a reader hands its payload buffer to
-// payloadPool at the clean end marker and holds none afterwards, and a
+// payloadFree at the clean end marker and holds none afterwards, and a
 // buffer over maxPooledPayload — only a stream with padded varints needs
-// one — never reaches the pool. sync.Pool may drop what it is given (the
-// race detector drops a quarter on purpose), so the test reads the trace
-// again until some pass finds its buffer in the pool.
+// one — never reaches the free list.
 func TestPayloadPooledAtCleanEnd(t *testing.T) {
 	data := encodeBinary(t, "pooled", mixedTrace(2*segmentAccs, 4, 3))
-	// read decodes data to the end, starting from payload when it is not
-	// nil, and returns the first byte of the payload array it decoded into.
-	read := func(payload []byte) *byte {
-		br, err := NewBlockReader(bytes.NewReader(data))
+	for _, payload := range [][]byte{make([]byte, 0, maxPooledPayload+1), nil} {
+		used, err := decodeToEnd(data, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if payload != nil {
-			br.payload = payload
+		if found := drainPayloads(t, used); found != (payload == nil) {
+			t.Errorf("starting from a %d-byte payload: buffer in the free list after the end marker = %v, want %v", cap(payload), found, !found)
 		}
+	}
+}
+
+// TestPayloadReusedAcrossCollections: the payload buffer outlives garbage
+// collections and passes between goroutines, as it must for a daemon's
+// sessions and for replays that each start from a collected heap. With a
+// collection before each pass, every pass after the first, each on a
+// goroutine of its own, decodes into the first pass's buffer.
+func TestPayloadReusedAcrossCollections(t *testing.T) {
+	data := encodeBinary(t, "reused", mixedTrace(2*segmentAccs, 4, 3))
+	drainPayloads(t, nil)
+	var first *byte
+	for pass := 0; pass < 8; pass++ {
+		runtime.GC()
 		var used *byte
-		var blk ColBlock
-		for err == nil {
-			if blk, err = br.NextCols(blk); cap(br.payload) > 0 {
-				used = &br.payload[:1][0]
-			}
-		}
-		if err != io.EOF {
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			used, err = decodeToEnd(data, nil)
+		}()
+		<-done
+		if err != nil {
 			t.Fatal(err)
 		}
-		if br.payload != nil {
-			t.Fatalf("reader still holds a %d-byte payload buffer after the end marker", cap(br.payload))
-		}
-		return used
-	}
-	// drain empties the pool and reports whether it held the array at p.
-	drain := func(p *byte) (found bool) {
-		for {
-			b, _ := payloadPool.Get().(*[]byte)
-			if b == nil {
-				return found
-			}
-			if cap(*b) > maxPooledPayload {
-				t.Fatalf("pool holds a %d-byte payload buffer, limit %d", cap(*b), maxPooledPayload)
-			}
-			found = found || &(*b)[:1][0] == p
+		if pass == 0 {
+			first = used
+		} else if used != first {
+			t.Fatalf("pass %d decoded into a new payload buffer, not the first pass's", pass)
 		}
 	}
-	drain(read(make([]byte, 0, maxPooledPayload+1)))
-	for attempt := 0; attempt < 8; attempt++ {
-		if drain(read(nil)) {
-			return
-		}
-	}
-	t.Fatal("no pass found its payload buffer in the pool")
 }
 
 func TestBinaryRejectsTornTail(t *testing.T) {

@@ -87,9 +87,11 @@ func FuzzReadFrom(f *testing.F) {
 
 // FuzzBinaryReader hardens the binary decoder: arbitrary bytes after the
 // magic must either decode cleanly or error — never panic or over-allocate
-// — and whatever decodes must re-encode to an equivalent trace. The block
-// decoder must agree: NextCols accepts exactly the streams ReadBinary
-// accepts, with ReadBinary's accesses as its per-bank columns.
+// — and whatever decodes must re-encode to an equivalent trace, whose own
+// re-encoding is the same bytes: the writer is a function of the access
+// stream. The block decoder must agree: NextCols accepts exactly the
+// streams ReadBinary accepts, with ReadBinary's accesses as its per-bank
+// columns.
 func FuzzBinaryReader(f *testing.F) {
 	seed := func(accs []Access) []byte {
 		var bb bytes.Buffer
@@ -132,6 +134,13 @@ func FuzzBinaryReader(f *testing.F) {
 			if back.Accs[i] != tr.Accs[i] {
 				t.Fatalf("re-round-trip changed access %d", i)
 			}
+		}
+		var again bytes.Buffer
+		if _, err := WriteBinary(&again, back.Generator()); err != nil {
+			t.Fatalf("encode of re-decoded trace failed: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), bb.Bytes()) {
+			t.Fatalf("re-encoding the re-decoded trace changed its bytes: %d vs %d", again.Len(), bb.Len())
 		}
 	})
 }

@@ -170,14 +170,15 @@ bench-serve:
 
 # Race detector over the packages with concurrent replay — the block
 # router behind every memctrl.Run and RunBlocks, the per-bank goroutines,
-# the sweep pool, the daemon and its load generator, the sweep CLI — plus
+# the sweep pool, the daemon and its load generator, the simulation and
+# sweep CLIs (rhsim replays its two runs concurrently into one Recorder) — plus
 # the fuzz seed corpora of those packages, which run as regular tests
 # here. Three runs each, so a test that fails only
 # sometimes fails here rather than in a later tier-1 run. -short skips the
 # tens-of-seconds full-scale run, which would dominate `make check` under
 # the race detector's overhead.
 race:
-	$(GO) test -race -short -count=3 ./internal/faultinject/... ./internal/memctrl/... ./internal/sim/... ./internal/sched/... ./internal/mitigation/... ./internal/trace/... ./internal/serve/... ./internal/obs/... ./cmd/rhsimd/... ./cmd/rhload/... ./cmd/rhsweep/...
+	$(GO) test -race -short -count=3 ./internal/faultinject/... ./internal/memctrl/... ./internal/sim/... ./internal/sched/... ./internal/mitigation/... ./internal/trace/... ./internal/serve/... ./internal/obs/... ./cmd/rhsim/... ./cmd/rhsimd/... ./cmd/rhload/... ./cmd/rhsweep/...
 
 # Short exploratory fuzz passes over the core invariants.
 # Go minimizes each new interesting input for up to 60 s by default. On

@@ -24,35 +24,29 @@ import (
 	"graphene/internal/memctrl"
 	"graphene/internal/mitigation"
 	"graphene/internal/obs"
-	"graphene/internal/prof"
 	"graphene/internal/sched"
 	"graphene/internal/sim"
 	"graphene/internal/stats"
-	"graphene/internal/trace"
 )
 
 // options carries one simulation request.
 type options struct {
-	workload   string
-	trace      string
-	scheme     string
-	profile    string
-	rowpress   bool
-	trh        int64
-	k          int
-	distance   int
-	acts       int64
-	windows    float64
-	seed       int64
-	jobs       int
-	progress   bool
-	timeout    time.Duration
-	faults     string
-	metrics    string
-	events     string
-	pprof      string
-	cpuprofile string
-	memprofile string
+	workload string
+	trace    string
+	scheme   string
+	profile  string
+	rowpress bool
+	trh      int64
+	k        int
+	distance int
+	acts     int64
+	windows  float64
+	seed     int64
+	jobs     int
+	progress bool
+	timeout  time.Duration
+	faults   string
+	obs      obs.Flags
 }
 
 func main() {
@@ -72,45 +66,24 @@ func main() {
 	flag.BoolVar(&o.progress, "progress", true, "live run progress on stderr")
 	flag.DurationVar(&o.timeout, "timeout", 0, "abort the simulation after this long, draining in-flight runs (0 = no deadline)")
 	flag.StringVar(&o.faults, "faults", "", "inject deterministic faults, e.g. memctrl.replay:error:2 (see internal/faultinject)")
-	flag.StringVar(&o.metrics, "metrics", "", "write a JSON metrics snapshot to this file at exit (stderr or - for standard error)")
-	flag.StringVar(&o.events, "events", "", "stream JSON-line mitigation events to this file (stderr or - for standard error; never stdout)")
-	flag.StringVar(&o.pprof, "pprof", "", "serve /debug/pprof/ and live /metrics on this address (e.g. localhost:6060)")
-	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
-	flag.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile to this file at exit")
+	flag.StringVar(&o.obs.Metrics, "metrics", "", "write a JSON metrics snapshot to this file at exit (stderr or - for standard error)")
+	flag.StringVar(&o.obs.Events, "events", "", "stream JSON-line mitigation events to this file (stderr or - for standard error; never stdout)")
+	flag.StringVar(&o.obs.Pprof, "pprof", "", "serve /debug/pprof/ and live /metrics on this address (e.g. localhost:6060)")
+	flag.StringVar(&o.obs.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
+	flag.StringVar(&o.obs.MemProfile, "memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
 
-	rec, closeObs, err := obs.NewFromPaths(o.metrics, o.events, o.pprof)
+	rec, addr, stop, err := o.obs.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rhsim:", err)
 		os.Exit(2)
 	}
-	if o.pprof != "" {
-		dbg, err := obs.ServeDebug(o.pprof, rec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rhsim:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "rhsim: pprof: serving /debug/pprof/ and /metrics on http://%s\n", dbg.Addr())
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			dbg.Shutdown(ctx)
-		}()
-	}
-	stopCPU, err := prof.StartCPU(o.cpuprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rhsim:", err)
-		os.Exit(2)
+	if addr != "" {
+		fmt.Fprintf(os.Stderr, "rhsim: pprof: serving /debug/pprof/ and /metrics on http://%s\n", addr)
 	}
 	flipped, err := run(os.Stdout, rec, o)
-	if perr := stopCPU(); perr != nil && err == nil {
-		err = perr
-	}
-	if perr := prof.WriteHeap(o.memprofile); perr != nil && err == nil {
-		err = perr
-	}
-	if cerr := closeObs(); cerr != nil && err == nil {
-		err = cerr
+	if serr := stop(); err == nil {
+		err = serr
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rhsim:", err)
@@ -141,30 +114,34 @@ func run(w io.Writer, rec *obs.Recorder, o options) (flipped bool, err error) {
 	sc.WorkloadAccesses = o.acts
 	sc.AdversarialWindows = o.windows
 
-	var gen, baseGen trace.Generator
+	// The baseline and the protected run replay the same stream, each
+	// from its start.
+	var replay func(memctrl.Config) (memctrl.Result, error)
 	geo := sc.Geometry
 	if o.trace != "" {
-		// A recorded trace replaces the generator on both runs, on the
+		// A recorded trace replaces the workload on both runs, on the
 		// banks it touches: a recorded attack replays on one bank, as its
 		// workload does below.
-		traces, eff, err := sim.LoadTraces(sc, []string{o.trace})
+		srcs, eff, err := sim.LoadTraces(sc, []string{o.trace})
 		if err != nil {
 			return false, err
 		}
-		tr := traces[0]
-		gen, baseGen = tr.Generator(), tr.Generator()
-		geo = eff.Geometry
-		o.workload = tr.Name
+		replay, geo, o.workload = srcs[0].Replay, eff.Geometry, srcs[0].Name
 	} else {
-		var attack bool
-		gen, attack, err = sim.BuildWorkload(o.workload, sc, o.trh)
+		_, attack, err := sim.BuildWorkload(o.workload, sc, o.trh)
 		if err != nil {
 			return false, err
 		}
 		if attack {
 			geo = dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: sc.Geometry.RowsPerBank}
 		}
-		baseGen, _, _ = sim.BuildWorkload(o.workload, sc, o.trh)
+		replay = func(cfg memctrl.Config) (memctrl.Result, error) {
+			gen, _, err := sim.BuildWorkload(o.workload, sc, o.trh)
+			if err != nil {
+				return memctrl.Result{}, err
+			}
+			return memctrl.Run(cfg, gen)
+		}
 	}
 	factory, name, err := sim.BuildScheme(o.scheme, o.trh, o.k, o.distance, geo.RowsPerBank, sc)
 	if err != nil {
@@ -178,7 +155,7 @@ func run(w io.Writer, rec *obs.Recorder, o options) (flipped bool, err error) {
 	var base, res memctrl.Result
 	jobs := []sched.Job{
 		{Label: o.workload + "/baseline", Do: func(context.Context) error {
-			r, err := memctrl.Run(memctrl.Config{Geometry: geo, Timing: sc.Timing, Obs: rec, Fault: fault}, baseGen)
+			r, err := replay(memctrl.Config{Geometry: geo, Timing: sc.Timing, Obs: rec, Fault: fault})
 			if err != nil {
 				return fmt.Errorf("baseline: %w", err)
 			}
@@ -186,11 +163,11 @@ func run(w io.Writer, rec *obs.Recorder, o options) (flipped bool, err error) {
 			return nil
 		}},
 		{Label: o.workload + "/" + name, Do: func(context.Context) error {
-			r, err := memctrl.Run(memctrl.Config{
+			r, err := replay(memctrl.Config{
 				Geometry: geo, Timing: sc.Timing,
 				Factory: factory, TRH: o.trh, OracleDistance: o.distance,
 				Obs: rec, Fault: fault,
-			}, gen)
+			})
 			if err != nil {
 				return err
 			}

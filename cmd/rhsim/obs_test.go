@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -97,7 +96,7 @@ func TestRunWritesEventAndMetricsFiles(t *testing.T) {
 	dir := t.TempDir()
 	mpath := filepath.Join(dir, "metrics.json")
 	epath := filepath.Join(dir, "events.jsonl")
-	rec, closeObs, err := obs.NewFromPaths(mpath, epath, "")
+	rec, _, stop, err := obs.Flags{Metrics: mpath, Events: epath}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestRunWritesEventAndMetricsFiles(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := closeObs(); err != nil {
+	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,16 +154,11 @@ func TestRunWritesEventAndMetricsFiles(t *testing.T) {
 // endpoint's /metrics shows the counters the run incremented rather than
 // an empty snapshot.
 func TestRunDebugOnlyServesLiveMetrics(t *testing.T) {
-	const addr = "127.0.0.1:0"
-	rec, closeObs, err := obs.NewFromPaths("", "", addr)
+	rec, addr, stop, err := obs.Flags{Pprof: "127.0.0.1:0"}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbg, err := obs.ServeDebug(addr, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dbg.Shutdown(context.Background())
+	defer stop()
 	var sb strings.Builder
 	if _, err := run(&sb, rec, options{
 		workload: "S3", scheme: "graphene", trh: 2000,
@@ -172,11 +166,8 @@ func TestRunDebugOnlyServesLiveMetrics(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := closeObs(); err != nil {
-		t.Fatal(err)
-	}
 
-	resp, err := http.Get("http://" + dbg.Addr() + "/metrics")
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

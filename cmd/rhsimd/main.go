@@ -42,9 +42,7 @@ type options struct {
 	idleTimeout time.Duration
 	drain       time.Duration
 	checkpoint  string
-	metrics     string
-	events      string
-	pprof       string
+	obs         obs.Flags
 	replayObs   bool
 }
 
@@ -58,48 +56,45 @@ func main() {
 	flag.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "per-frame read deadline; a silent client fails its session")
 	flag.DurationVar(&o.drain, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight sessions before severing them")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "journal every finished session's report to this file (sched checkpoint format)")
-	flag.StringVar(&o.metrics, "metrics", "", "write a JSON metrics snapshot to this file at exit (stderr or - for standard error)")
-	flag.StringVar(&o.events, "events", "", "stream JSON-line session events to this file (stderr or - for standard error)")
-	flag.StringVar(&o.pprof, "pprof", "", "serve /debug/pprof/ and live /metrics on this address (e.g. localhost:6060)")
+	flag.StringVar(&o.obs.Metrics, "metrics", "", "write a JSON metrics snapshot to this file at exit (stderr or - for standard error)")
+	flag.StringVar(&o.obs.Events, "events", "", "stream JSON-line session events to this file (stderr or - for standard error)")
+	flag.StringVar(&o.obs.Pprof, "pprof", "", "serve /debug/pprof/ and live /metrics on this address (e.g. localhost:6060)")
 	flag.BoolVar(&o.replayObs, "replay-obs", false, "attach the recorder to every tenant replay pipeline (per-ACT instrumentation; costs throughput)")
 	flag.Parse()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)
-	if err := run(o, os.Stderr, nil, stop); err != nil {
+	quit := make(chan os.Signal, 1)
+	signal.Notify(quit, syscall.SIGTERM, syscall.SIGINT)
+	if err := run(o, os.Stderr, nil, quit); err != nil {
 		fmt.Fprintln(os.Stderr, "rhsimd:", err)
 		os.Exit(1)
 	}
 }
 
 // run is the testable daemon body: logs to logw, announces the bound
-// address on ready (when non-nil), serves until stop delivers, then
+// address on ready (when non-nil), serves until quit delivers, then
 // drains and reports.
-func run(o options, logw io.Writer, ready chan<- string, stop <-chan os.Signal) error {
-	rec, closeObs, err := obs.NewFromPaths(o.metrics, o.events, o.pprof)
+func run(o options, logw io.Writer, ready chan<- string, quit <-chan os.Signal) (err error) {
+	rec, addr, stop, err := o.obs.Start()
 	if err != nil {
 		return err
+	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
+	if addr != "" {
+		fmt.Fprintf(logw, "rhsimd: pprof: serving /debug/pprof/ and /metrics on http://%s\n", addr)
 	}
 
 	var ck *sched.Checkpoint
 	if o.checkpoint != "" {
 		ck, err = sched.OpenCheckpoint(o.checkpoint)
 		if err != nil {
-			closeObs()
 			return err
 		}
 	}
 	defer ck.Close()
-
-	var dbg *obs.DebugServer
-	if o.pprof != "" {
-		dbg, err = obs.ServeDebug(o.pprof, rec)
-		if err != nil {
-			closeObs()
-			return err
-		}
-		fmt.Fprintf(logw, "rhsimd: pprof: serving /debug/pprof/ and /metrics on http://%s\n", dbg.Addr())
-	}
 
 	s, err := serve.New(serve.Config{
 		Addr:        o.addr,
@@ -116,7 +111,6 @@ func run(o options, logw io.Writer, ready chan<- string, stop <-chan os.Signal) 
 		},
 	})
 	if err != nil {
-		closeObs()
 		return err
 	}
 	fmt.Fprintf(logw, "rhsimd: listening on %s (max %d tenants, %d shard(s))\n", s.Addr(), o.maxTenants, s.Shards())
@@ -129,9 +123,8 @@ func run(o options, logw io.Writer, ready chan<- string, stop <-chan os.Signal) 
 
 	select {
 	case err := <-serveErr:
-		closeObs()
 		return err
-	case sig := <-stop:
+	case sig := <-quit:
 		fmt.Fprintf(logw, "rhsimd: %v: draining (timeout %s)\n", sig, o.drain)
 	}
 
@@ -141,20 +134,12 @@ func run(o options, logw io.Writer, ready chan<- string, stop <-chan os.Signal) 
 	<-serveErr
 
 	// Drain-then-report: the session journal is already on disk (each
-	// Record is an atomic append), the metrics snapshot flushes via
-	// closeObs, and the summary line quotes the server's final totals,
-	// which it keeps with or without a Recorder.
+	// Record is an atomic append), the metrics snapshot flushes in stop,
+	// and the summary line quotes the server's final totals, which it
+	// keeps with or without a Recorder.
 	tot := s.Totals()
 	fmt.Fprintf(logw, "rhsimd: served %d session(s), %d error(s), %d ACTs, %d bytes in; %d report(s) journaled\n",
 		tot.Sessions, tot.Errors, tot.ACTs, tot.BytesIn, ck.Len())
-	if dbg != nil {
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		dbg.Shutdown(sctx)
-	}
-	if err := closeObs(); err != nil {
-		return err
-	}
 	if drainErr != nil {
 		return fmt.Errorf("drain: %w", drainErr)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"graphene/internal/obs"
 	"graphene/internal/serve"
 	"graphene/internal/trace"
 	"graphene/internal/workload"
@@ -96,7 +97,7 @@ func TestDaemonLifecycle(t *testing.T) {
 		idleTimeout: time.Minute,
 		drain:       10 * time.Second,
 		checkpoint:  filepath.Join(dir, "sessions.ckpt"),
-		metrics:     filepath.Join(dir, "metrics.json"),
+		obs:         obs.Flags{Metrics: filepath.Join(dir, "metrics.json")},
 	}
 	out, rep := runOneSession(t, o)
 	for _, want := range []string{"listening on", "draining", "served 1 session(s), 0 error(s)", "1 report(s) journaled"} {
@@ -111,7 +112,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	if !strings.Contains(string(ck), fmt.Sprintf("lifecycle/%d", rep.Session)) {
 		t.Errorf("checkpoint journal misses the session key:\n%s", ck)
 	}
-	metrics, err := os.ReadFile(o.metrics)
+	metrics, err := os.ReadFile(o.obs.Metrics)
 	if err != nil {
 		t.Fatal(err)
 	}

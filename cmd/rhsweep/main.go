@@ -49,7 +49,6 @@ import (
 	"graphene/internal/graphene"
 	"graphene/internal/model"
 	"graphene/internal/obs"
-	"graphene/internal/prof"
 	"graphene/internal/sched"
 	"graphene/internal/security"
 	"graphene/internal/sim"
@@ -131,12 +130,13 @@ func main() {
 		ckfile   = flag.String("checkpoint", "", "journal completed cells to this file and skip them on restart (simulation sweeps)")
 		faults   = flag.String("faults", "", "inject deterministic faults, e.g. sched.job:error:3 (see internal/faultinject)")
 		retries  = flag.Int("retries", 1, "attempts per simulation cell; >1 retries retryable failures with backoff")
-		metrics  = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit (stderr or - for standard error)")
-		events   = flag.String("events", "", "stream JSON-line mitigation events to this file (stderr or - for standard error; never stdout)")
-		pprof    = flag.String("pprof", "", "serve /debug/pprof/ and live /metrics on this address (e.g. localhost:6060)")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof format)")
-		memprof  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		obsFlags obs.Flags
 	)
+	flag.StringVar(&obsFlags.Metrics, "metrics", "", "write a JSON metrics snapshot to this file at exit (stderr or - for standard error)")
+	flag.StringVar(&obsFlags.Events, "events", "", "stream JSON-line mitigation events to this file (stderr or - for standard error; never stdout)")
+	flag.StringVar(&obsFlags.Pprof, "pprof", "", "serve /debug/pprof/ and live /metrics on this address (e.g. localhost:6060)")
+	flag.StringVar(&obsFlags.CPUProfile, "cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof format)")
+	flag.StringVar(&obsFlags.MemProfile, "memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
 
 	trhs, err := parseTRHs(*trhsFlag)
@@ -149,49 +149,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rhsweep:", err)
 		os.Exit(2)
 	}
-	rec, closeObs, err := obs.NewFromPaths(*metrics, *events, *pprof)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rhsweep:", err)
-		os.Exit(2)
-	}
-	if *pprof != "" {
-		dbg, err := obs.ServeDebug(*pprof, rec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rhsweep:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "rhsweep: pprof: serving /debug/pprof/ and /metrics on http://%s\n", dbg.Addr())
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			dbg.Shutdown(ctx)
-		}()
-	}
 	inj, err := faultinject.New(*faults)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rhsweep:", err)
 		os.Exit(2)
 	}
-	inj.SetRecorder(rec)
-	var ckpt *sched.Checkpoint
-	if *ckfile != "" {
-		if ckpt, err = sched.OpenCheckpoint(*ckfile); err != nil {
-			fmt.Fprintln(os.Stderr, "rhsweep:", err)
-			os.Exit(2)
-		}
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	o := options{
-		trh: *trh, trhs: trhs, traces: splitList(*traces), jobs: *jobs, acts: *acts,
-		windows: *windows, seed: *seed, full: *full, prof: devProf, rowpress: *rowpress, progress: *progress,
-		retries: *retries, rec: rec, ctx: ctx, fault: inj, ckpt: ckpt,
-	}
-
+	// The sweep closures read o when they run, after observability starts.
+	var o options
 	var run func(*csv.Writer) error
 	switch *sweep {
 	case "k":
@@ -216,34 +180,53 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rhsweep: unknown sweep %q (k|trh|distance|cbt|normal|adversarial|trace|scaling-normal|scaling-adversarial)\n", *sweep)
 		os.Exit(2)
 	}
-
-	stopCPU, err := prof.StartCPU(*cpuprof)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rhsweep:", err)
-		os.Exit(2)
-	}
-	switch *format {
-	case "csv":
-		w := csv.NewWriter(os.Stdout)
-		err = run(w)
-		w.Flush()
-	case "json":
-		err = emitJSON(os.Stdout, run)
-	default:
+	if *format != "csv" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "rhsweep: unknown format %q (csv|json)\n", *format)
 		os.Exit(2)
 	}
-	if perr := stopCPU(); perr != nil && err == nil {
-		err = perr
+	var ckpt *sched.Checkpoint
+	if *ckfile != "" {
+		if ckpt, err = sched.OpenCheckpoint(*ckfile); err != nil {
+			fmt.Fprintln(os.Stderr, "rhsweep:", err)
+			os.Exit(2)
+		}
 	}
-	if perr := prof.WriteHeap(*memprof); perr != nil && err == nil {
-		err = perr
+
+	// Every flag is checked, so from here the sweep runs and stop runs
+	// after it: no exit leaves an empty -metrics, -events or profile file.
+	rec, addr, stop, err := obsFlags.Start()
+	if err != nil {
+		ckpt.Close()
+		fmt.Fprintln(os.Stderr, "rhsweep:", err)
+		os.Exit(2)
 	}
-	if cerr := o.ckpt.Close(); cerr != nil && err == nil {
+	if addr != "" {
+		fmt.Fprintf(os.Stderr, "rhsweep: pprof: serving /debug/pprof/ and /metrics on http://%s\n", addr)
+	}
+	inj.SetRecorder(rec)
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	o = options{
+		trh: *trh, trhs: trhs, traces: splitList(*traces), jobs: *jobs, acts: *acts,
+		windows: *windows, seed: *seed, full: *full, prof: devProf, rowpress: *rowpress, progress: *progress,
+		retries: *retries, rec: rec, ctx: ctx, fault: inj, ckpt: ckpt,
+	}
+	if *format == "json" {
+		err = emitJSON(os.Stdout, run)
+	} else {
+		w := csv.NewWriter(os.Stdout)
+		err = run(w)
+		w.Flush()
+	}
+	if cerr := ckpt.Close(); err == nil {
 		err = cerr
 	}
-	if cerr := closeObs(); cerr != nil && err == nil {
-		err = cerr
+	if serr := stop(); err == nil {
+		err = serr
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rhsweep:", err)

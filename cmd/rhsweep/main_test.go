@@ -1,16 +1,19 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
-
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"graphene/internal/sim"
-	"graphene/internal/trace"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"graphene/internal/obs"
+	"graphene/internal/sim"
+	"graphene/internal/trace"
 )
 
 func runSweep(t *testing.T, f func(*csv.Writer) error) [][]string {
@@ -227,5 +230,40 @@ func TestSweepTrace(t *testing.T) {
 
 	if err := sweepTrace(csv.NewWriter(&strings.Builder{}), quickOpts()); err == nil {
 		t.Error("-sweep trace without -traces accepted")
+	}
+}
+
+// TestRejectedFlagLeavesNoEmptyFiles runs the command with -metrics,
+// -events and -cpuprofile and one flag value it rejects. It must exit 2
+// and leave no 0-byte file behind: a metrics file that exists decodes as
+// a snapshot. The test binary re-runs itself as rhsweep for each case.
+func TestRejectedFlagLeavesNoEmptyFiles(t *testing.T) {
+	if args, ok := os.LookupEnv("RHSWEEP_ARGS"); ok {
+		os.Args = append([]string{"rhsweep"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	for _, bad := range [][]string{{"-faults", "bogus"}, {"-format", "xml"}} {
+		dir := t.TempDir()
+		mpath := filepath.Join(dir, "metrics.json")
+		paths := []string{mpath, filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "cpu.pprof")}
+		args := append([]string{"-metrics", paths[0], "-events", paths[1], "-cpuprofile", paths[2]}, bad...)
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRejectedFlagLeavesNoEmptyFiles$")
+		cmd.Env = append(os.Environ(), "RHSWEEP_ARGS="+strings.Join(args, "\n"))
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%v: %v, want exit status 2\n%s", bad, err, out)
+		}
+		for _, path := range paths {
+			if fi, err := os.Stat(path); err == nil && fi.Size() == 0 {
+				t.Errorf("%v left an empty %s", bad, filepath.Base(path))
+			}
+		}
+		if b, err := os.ReadFile(mpath); err == nil {
+			if err := json.Unmarshal(b, &obs.Snapshot{}); err != nil {
+				t.Errorf("%v: metrics file is not a snapshot: %v", bad, err)
+			}
+		}
 	}
 }

@@ -3,7 +3,10 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -192,22 +195,25 @@ func TestCollectByKind(t *testing.T) {
 	}
 }
 
+// TestNewFromPaths drives Flags.Start, the commands' one entry point for
+// their observability and profiling flags, on the -metrics, -events and
+// -pprof values.
 func TestNewFromPaths(t *testing.T) {
 	t.Run("disabled", func(t *testing.T) {
-		rec, closeFn, err := NewFromPaths("", "", "")
-		if err != nil || rec != nil {
-			t.Fatalf("rec=%v err=%v, want nil/nil", rec, err)
+		rec, addr, stop, err := Flags{}.Start()
+		if err != nil || rec != nil || addr != "" {
+			t.Fatalf("rec=%v addr=%q err=%v, want nil/\"\"/nil", rec, addr, err)
 		}
-		if err := closeFn(); err != nil {
+		if err := stop(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Run("debug-only", func(t *testing.T) {
-		rec, closeFn, err := NewFromPaths("", "", "127.0.0.1:0")
+		rec, _, stop, err := Flags{Pprof: "127.0.0.1:0"}.Start()
 		if err != nil || rec == nil {
 			t.Fatalf("rec=%v err=%v, want a live Recorder for the debug endpoint", rec, err)
 		}
-		if err := closeFn(); err != nil {
+		if err := stop(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -215,13 +221,13 @@ func TestNewFromPaths(t *testing.T) {
 		dir := t.TempDir()
 		mpath := filepath.Join(dir, "metrics.json")
 		epath := filepath.Join(dir, "events.jsonl")
-		rec, closeFn, err := NewFromPaths(mpath, epath, "")
+		rec, _, stop, err := Flags{Metrics: mpath, Events: epath}.Start()
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec.Counter("n").Add(3)
 		rec.Emit(Event{Kind: KindCellStart, Bank: -1, Label: "x"})
-		if err := closeFn(); err != nil {
+		if err := stop(); err != nil {
 			t.Fatal(err)
 		}
 		mb, err := os.ReadFile(mpath)
@@ -245,10 +251,114 @@ func TestNewFromPaths(t *testing.T) {
 		}
 	})
 	t.Run("bad-path", func(t *testing.T) {
-		if _, _, err := NewFromPaths("", filepath.Join(t.TempDir(), "no", "such", "dir", "e"), ""); err == nil {
-			t.Error("unwritable events path accepted")
+		dir := t.TempDir()
+		if _, _, stop, err := (Flags{Events: filepath.Join(dir, "no", "such", "dir", "e")}).Start(); err == nil || stop != nil {
+			t.Errorf("unwritable events path: err=%v, stop nil: %t; want an error and a nil stop", err, stop == nil)
+		}
+		// The events file is created before the metrics path fails; the
+		// failed Start removes it again.
+		epath := filepath.Join(dir, "events.jsonl")
+		_, _, stop, err := Flags{Events: epath, Metrics: filepath.Join(dir, "no", "such", "dir", "m")}.Start()
+		if err == nil || stop != nil {
+			t.Fatalf("unwritable metrics path: err=%v, stop nil: %t; want an error and a nil stop", err, stop == nil)
+		}
+		if _, err := os.Stat(epath); !os.IsNotExist(err) {
+			t.Errorf("failed Start left %s behind (stat: %v)", epath, err)
 		}
 	})
+}
+
+// TestServeDebug exercises the debug server Start runs for -pprof: the
+// bound address carries the port the kernel chose for :0, /metrics shows
+// the live Recorder, and stop shuts the server down (a second stop
+// returns at once).
+func TestServeDebug(t *testing.T) {
+	rec, addr, stop, err := Flags{Pprof: "127.0.0.1:0"}.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.HasSuffix(addr, ":0") {
+		t.Fatalf("addr = %q, want the kernel-chosen port, not :0", addr)
+	}
+	rec.Counter("probe_total").Add(7)
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil || snap.Counters["probe_total"] != 7 {
+		t.Fatalf("/metrics = %+v (%v), want probe_total 7", snap, err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("second stop: %v", err)
+	}
+	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
+		t.Fatal("debug server still accepting after stop")
+	}
+}
+
+// TestServeDebugBindFailureIsSynchronous pins the -pprof bugfix: a bind
+// on an occupied port fails Start itself, not a message printed while the
+// run goes on unobserved. The failed Start creates no file and leaves an
+// existing profile file as it was.
+func TestServeDebugBindFailureIsSynchronous(t *testing.T) {
+	_, addr, stop, err := Flags{Pprof: "127.0.0.1:0"}.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	dir := t.TempDir()
+	cpath := filepath.Join(dir, "cpu.pprof")
+	mpath := filepath.Join(dir, "mem.pprof")
+	if err := os.WriteFile(cpath, []byte("earlier profile"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, stop2, err := (Flags{CPUProfile: cpath, MemProfile: mpath, Pprof: addr}).Start(); err == nil || stop2 != nil {
+		t.Fatalf("second bind on %s: err=%v, stop nil: %t; want an error and a nil stop", addr, err, stop2 == nil)
+	}
+	if b, err := os.ReadFile(cpath); err != nil || string(b) != "earlier profile" {
+		t.Errorf("failed Start changed the existing %s: %q (%v)", cpath, b, err)
+	}
+	if _, err := os.Stat(mpath); !os.IsNotExist(err) {
+		t.Errorf("failed Start left %s behind (stat: %v)", mpath, err)
+	}
+}
+
+// TestStartWritesProfiles: with both profile paths set, stop leaves a
+// non-empty gzip-compressed pprof profile in each.
+func TestStartWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpath := filepath.Join(dir, "cpu.pprof")
+	mpath := filepath.Join(dir, "mem.pprof")
+	rec, _, stop, err := Flags{CPUProfile: cpath, MemProfile: mpath}.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec != nil {
+		t.Errorf("profiles alone made a live Recorder")
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpath, mpath} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s is not gzip: %v", filepath.Base(path), err)
+		}
+		body, err := io.ReadAll(zr)
+		if err != nil || len(body) == 0 {
+			t.Errorf("%s: %d bytes of profile (%v), want a non-empty profile", filepath.Base(path), len(body), err)
+		}
+	}
 }
 
 func TestDebugMuxMetrics(t *testing.T) {

@@ -1,16 +1,11 @@
 package obs
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // failAfter accepts n bytes, then rejects every write — the shape of an
@@ -115,61 +110,6 @@ func TestJSONLinesConcurrentEmitAfterFailure(t *testing.T) {
 	wg.Wait()
 	if got := sink.Dropped(); got != 800 || c.Value() != 800 {
 		t.Fatalf("Dropped() = %d, counter = %d, want 800", got, c.Value())
-	}
-}
-
-// TestServeDebug exercises the configured debug server: synchronous bind
-// on :0, the actual port in Addr, a live /metrics snapshot, and graceful
-// Shutdown.
-func TestServeDebug(t *testing.T) {
-	rec := New()
-	rec.Counter("probe_total").Add(7)
-	d, err := ServeDebug("127.0.0.1:0", rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := d.Addr()
-	if strings.HasSuffix(addr, ":0") {
-		t.Fatalf("Addr() = %q, want the kernel-chosen port, not :0", addr)
-	}
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["probe_total"] != 7 {
-		t.Fatalf("/metrics probe_total = %d, want 7", snap.Counters["probe_total"])
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := d.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if _, err := http.Get(fmt.Sprintf("http://%s/metrics", addr)); err == nil {
-		t.Fatal("server still accepting after Shutdown")
-	}
-}
-
-// TestServeDebugBindFailureIsSynchronous pins the -pprof bugfix: a second
-// bind on an occupied port must fail the call itself, not print
-// asynchronously while the caller runs on unprofiled.
-func TestServeDebugBindFailureIsSynchronous(t *testing.T) {
-	d, err := ServeDebug("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Shutdown(context.Background())
-	if _, err := ServeDebug(d.Addr(), nil); err == nil {
-		t.Fatal("second bind on an occupied port succeeded, want synchronous error")
-	}
-	// Nil-safety: callers hold an optional *DebugServer.
-	var nilD *DebugServer
-	if err := nilD.Shutdown(context.Background()); err != nil {
-		t.Fatalf("nil Shutdown: %v", err)
 	}
 }
 

@@ -223,8 +223,8 @@ type Config struct {
 	// nothing for this long fails its session. Default 2m.
 	IdleTimeout time.Duration
 
-	// Obs, when non-nil, feeds the daemon's live metrics (/metrics via
-	// obs.ServeDebug) and session events: serve_sessions_total,
+	// Obs, when non-nil, feeds the daemon's live metrics (/metrics on
+	// obs.DebugMux) and session events: serve_sessions_total,
 	// serve_acts_total, serve_bytes_in_total, serve_session_errors_total,
 	// serve_tenants_active, and per-shard shard_<i>_queued /
 	// shard_<i>_busy / shard_<i>_jobs_total.

@@ -263,15 +263,14 @@ func TestServerErrors(t *testing.T) {
 // Makefile): many tenants stream concurrently while /metrics snapshots
 // and the debug HTTP server read the same Recorder.
 func TestConcurrentTenants(t *testing.T) {
-	rec := obs.New()
-	sink := &obs.Collect{}
-	rec.SetSink(sink)
-	s := startServer(t, Config{Obs: rec, MaxTenants: 4})
-	dbg, err := obs.ServeDebug("127.0.0.1:0", rec)
+	rec, addr, stopObs, err := obs.Flags{Pprof: "127.0.0.1:0"}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dbg.Shutdown(context.Background())
+	defer stopObs()
+	sink := &obs.Collect{}
+	rec.SetSink(sink)
+	s := startServer(t, Config{Obs: rec, MaxTenants: 4})
 
 	data := goldenTraces(t)["adversarial"]
 	const tenants = 8 // 2× MaxTenants, so the semaphore backpressure runs too
@@ -291,7 +290,7 @@ func TestConcurrentTenants(t *testing.T) {
 			if snap.Counters["serve_sessions_total"] < 0 {
 				t.Error("negative session counter")
 			}
-			resp, err := http.Get(fmt.Sprintf("http://%s/metrics", dbg.Addr()))
+			resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
 			if err == nil {
 				resp.Body.Close()
 			}
@@ -348,6 +347,37 @@ func TestConcurrentTenants(t *testing.T) {
 	}
 	if starts != tenants || finishes != tenants {
 		t.Errorf("session events: %d starts, %d finishes, want %d each", starts, finishes, tenants)
+	}
+}
+
+// TestReplayObs covers Config.ReplayObs (rhsimd -replay-obs). With it
+// set, a session's replay emits one nrr event per victim-refresh command
+// and counts them in nrr_commands_total, both equal to the Report's
+// NRRCommands; with it off, the same session emits no nrr event.
+func TestReplayObs(t *testing.T) {
+	data := goldenTraces(t)["adversarial"]
+	h := Hello{Tenant: "nrr", Scheme: "graphene", TRH: goldenTRH, K: Ptr(2), Distance: 1, Rows: 64 * 1024}
+	for _, replayObs := range []bool{true, false} {
+		rec := obs.New()
+		sink := &obs.Collect{}
+		rec.SetSink(sink)
+		s := startServer(t, Config{Obs: rec, ReplayObs: replayObs})
+		rep, err := runSession(t, s.Addr(), h, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rep.Result.NRRCommands
+		if want == 0 {
+			t.Fatal("session issued no NRRs; the event check would be vacuous")
+		}
+		nrrs := int64(len(sink.ByKind(obs.KindNRR)))
+		counted := rec.Counter("nrr_commands_total").Value()
+		if replayObs && (nrrs != want || counted != want) {
+			t.Errorf("ReplayObs on: %d nrr events, nrr_commands_total %d, want %d (Result.NRRCommands)", nrrs, counted, want)
+		}
+		if !replayObs && nrrs != 0 {
+			t.Errorf("ReplayObs off: %d nrr events, want none", nrrs)
+		}
 	}
 }
 

@@ -64,31 +64,38 @@ type Options struct {
 	Checkpoint *sched.Checkpoint
 }
 
-// source is one grid row's workload: its name and a constructor for a
-// fresh generator over its access stream. The sweep calls gen for the
-// baseline and for every attempt of every cell, so no attempt ever
-// resumes a stream another one half consumed.
-type source struct {
-	name string
-	gen  func() (trace.Generator, error)
+// Source is one grid row's workload: its name and a replay of its access
+// stream under a memctrl Config. Every call replays the stream from its
+// start, so the sweep calls it for the baseline and for every attempt of
+// every cell, and no attempt ever resumes a stream another one half
+// consumed.
+type Source struct {
+	Name   string
+	Replay func(memctrl.Config) (memctrl.Result, error)
 }
 
 // profileSources turns realistic workload profiles into grid rows.
-func profileSources(sc Scale, profiles []workload.Profile) []source {
-	srcs := make([]source, len(profiles))
+func profileSources(sc Scale, profiles []workload.Profile) []Source {
+	srcs := make([]Source, len(profiles))
 	for i, prof := range profiles {
-		srcs[i] = source{name: prof.Name, gen: func() (trace.Generator, error) {
-			return prof.Generate(sc.Geometry, sc.Timing, sc.WorkloadAccesses, sc.Seed)
+		srcs[i] = Source{Name: prof.Name, Replay: func(cfg memctrl.Config) (memctrl.Result, error) {
+			gen, err := prof.Generate(sc.Geometry, sc.Timing, sc.WorkloadAccesses, sc.Seed)
+			if err != nil {
+				return memctrl.Result{}, err
+			}
+			return memctrl.Run(cfg, gen)
 		}}
 	}
 	return srcs
 }
 
 // patternSources turns attack-pattern constructors into grid rows.
-func patternSources(pats []func() trace.Generator) []source {
-	srcs := make([]source, len(pats))
+func patternSources(pats []func() trace.Generator) []Source {
+	srcs := make([]Source, len(pats))
 	for i, mk := range pats {
-		srcs[i] = source{name: mk().Name(), gen: func() (trace.Generator, error) { return mk(), nil }}
+		srcs[i] = Source{Name: mk().Name(), Replay: func(cfg memctrl.Config) (memctrl.Result, error) {
+			return memctrl.Run(cfg, mk())
+		}}
 	}
 	return srcs
 }
@@ -121,26 +128,22 @@ func (p *sweepPlan) cellKey(label string) string {
 	return fmt.Sprintf("%016x|%s", h.Sum64(), label)
 }
 
-// replay runs a fresh generator from src through memctrl on the plan's
-// device; a nil factory replays unprotected.
-func (p *sweepPlan) replay(src source, f mitigation.Factory, trh int64) (memctrl.Result, error) {
-	gen, err := src.gen()
-	if err != nil {
-		return memctrl.Result{}, err
-	}
-	return memctrl.Run(memctrl.Config{
+// replay replays src on the plan's device; a nil factory replays
+// unprotected.
+func (p *sweepPlan) replay(src Source, f mitigation.Factory, trh int64) (memctrl.Result, error) {
+	return src.Replay(memctrl.Config{
 		Geometry: p.sc.Geometry, Timing: p.sc.Timing,
 		Factory: f, TRH: trh, Obs: p.obs, Fault: p.fault,
-	}, gen)
+	})
 }
 
 // baseline returns src's memoized unprotected run: replayed by the first
 // cell that asks and shared by every later one, across thresholds too.
-func (p *sweepPlan) baseline(src source) (memctrl.Result, error) {
-	return p.memo.Do(src.name, func() (memctrl.Result, error) {
+func (p *sweepPlan) baseline(src Source) (memctrl.Result, error) {
+	return p.memo.Do(src.Name, func() (memctrl.Result, error) {
 		res, err := p.replay(src, nil, 0)
 		if err != nil {
-			return memctrl.Result{}, fmt.Errorf("sim: baseline %s: %w", src.name, err)
+			return memctrl.Result{}, fmt.Errorf("sim: baseline %s: %w", src.Name, err)
 		}
 		return res, nil
 	})
@@ -152,11 +155,11 @@ func (p *sweepPlan) baseline(src source) (memctrl.Result, error) {
 // and the other probabilistic schemes count up from their seed) hands
 // that cell in a serial row-major walk, where every cell takes one engine
 // per bank.
-func (p *sweepPlan) grid(trh int64, srcs []source, schemes []Spec) []Row {
+func (p *sweepPlan) grid(trh int64, srcs []Source, schemes []Spec) []Row {
 	banks := int64(p.sc.Geometry.Banks())
 	rows := make([]Row, len(srcs))
 	for wi, src := range srcs {
-		rows[wi] = Row{Workload: src.name, Cells: make([]Cell, len(schemes))}
+		rows[wi] = Row{Workload: src.Name, Cells: make([]Cell, len(schemes))}
 		for si, spec := range schemes {
 			p.addCell(src, spec, p.sc.Seed+int64(wi)*banks, trh, &rows[wi].Cells[si])
 		}
@@ -167,8 +170,8 @@ func (p *sweepPlan) grid(trh int64, srcs []source, schemes []Spec) []Row {
 // addCell schedules one protected run of src under spec, whose engines
 // start at seed; the measured cell lands in *slot. A cell the checkpoint
 // journal already holds is restored without a replay.
-func (p *sweepPlan) addCell(src source, spec Spec, seed, trh int64, slot *Cell) {
-	label := fmt.Sprintf("%s/%s trh=%d", src.name, spec.Name, trh)
+func (p *sweepPlan) addCell(src Source, spec Spec, seed, trh int64, slot *Cell) {
+	label := fmt.Sprintf("%s/%s trh=%d", src.Name, spec.Name, trh)
 	key := p.cellKey(label)
 	var prev Cell
 	if p.ckpt.Lookup(key, &prev) {
@@ -186,7 +189,7 @@ func (p *sweepPlan) addCell(src source, spec Spec, seed, trh int64, slot *Cell) 
 		}
 		res, err := p.replay(src, spec.factory(seed), trh)
 		if err != nil {
-			return fmt.Errorf("sim: %s/%s: %w", src.name, spec.Name, err)
+			return fmt.Errorf("sim: %s/%s: %w", src.Name, spec.Name, err)
 		}
 		*slot = Cell{
 			Scheme:          spec.Name,
@@ -216,7 +219,7 @@ func (p *sweepPlan) run(opt Options) error {
 }
 
 // sweep measures one threshold's srcs × schemes grid on the pool.
-func sweep(sc Scale, trh int64, srcs []source, schemes []Spec, opt Options) ([]Row, error) {
+func sweep(sc Scale, trh int64, srcs []Source, schemes []Spec, opt Options) ([]Row, error) {
 	plan := newPlan(sc, opt)
 	rows := plan.grid(trh, srcs, schemes)
 	if err := plan.run(opt); err != nil {
@@ -228,7 +231,7 @@ func sweep(sc Scale, trh int64, srcs []source, schemes []Spec, opt Options) ([]R
 // scaling measures the counter line-up over srcs at every threshold as
 // one pool run, each source's baseline replayed once and shared across
 // thresholds, and averages each threshold's rows.
-func scaling(sc Scale, trhs []int64, srcs []source, opt Options) ([]ScalingRow, error) {
+func scaling(sc Scale, trhs []int64, srcs []Source, opt Options) ([]ScalingRow, error) {
 	plan := newPlan(sc, opt)
 	perTRH := make([][]Row, len(trhs))
 	for ti, trh := range trhs {

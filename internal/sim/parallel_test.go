@@ -267,7 +267,7 @@ func TestUnprotectedSpecRuns(t *testing.T) {
 // sitePasses counts how often one unfaulted replay of src passes the named
 // fault site: a zero-length delay armed on every pass fires each time, and
 // the injector's recorder counts the firings.
-func sitePasses(t *testing.T, sc Scale, site string, src source) int64 {
+func sitePasses(t *testing.T, sc Scale, site string, src Source) int64 {
 	t.Helper()
 	inj, err := faultinject.New(site + ":delay=0s:p=1")
 	if err != nil {
@@ -275,11 +275,7 @@ func sitePasses(t *testing.T, sc Scale, site string, src source) int64 {
 	}
 	rec := obs.New()
 	inj.SetRecorder(rec)
-	gen, err := src.gen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := memctrl.Run(memctrl.Config{Geometry: sc.Geometry, Timing: sc.Timing, Fault: inj}, gen); err != nil {
+	if _, err := src.Replay(memctrl.Config{Geometry: sc.Geometry, Timing: sc.Timing, Fault: inj}); err != nil {
 		t.Fatal(err)
 	}
 	return rec.Snapshot().Counters["faults_injected_total"]

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -129,6 +131,43 @@ func TestLoadTracesDefaultGeometry(t *testing.T) {
 	}
 }
 
+// TestLoadTracesKeepsBinaryEncoded: LoadTraces holds a binary recording
+// as its encoded bytes (mcf encodes at about 5.6 B per access), not as the
+// decoded 32-byte accesses, so after a collection it keeps under 8 B of
+// live heap per access.
+func TestLoadTracesKeepsBinaryEncoded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records and loads 1Mi accesses")
+	}
+	sc := testScale()
+	const n = 1 << 20
+	prof, err := workload.ProfileByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := prof.Generate(sc.Geometry, sc.Timing, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeTraceFile(t, t.TempDir(), "mcf.bin", gen, true)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	srcs, _, err := LoadTraces(sc, []string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(srcs)
+	perAcc := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("LoadTraces keeps %.2f B of live heap per access", perAcc)
+	if perAcc >= 8 {
+		t.Errorf("LoadTraces keeps %.1f B of live heap per access, want < 8", perAcc)
+	}
+}
+
 // TestTraceSweepRowpressMatchesBuildScheme: with Scale.Rowpress set, each
 // counter cell of a trace sweep over a RowPress-double trace must be the
 // Result memctrl.Run gives under BuildScheme's factory — the one rhsim
@@ -147,7 +186,11 @@ func TestTraceSweepRowpressMatchesBuildScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.LoadFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadBinary(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

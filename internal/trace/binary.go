@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"graphene/internal/dram"
 )
@@ -912,15 +910,4 @@ func ReadAuto(r io.Reader, fallbackName string) (*Trace, error) {
 		return ReadBinary(src)
 	}
 	return ReadAll(src, fallbackName)
-}
-
-// LoadFile reads a trace file in either format. The fallback name for
-// headerless text traces is the file's base name.
-func LoadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadAuto(f, filepath.Base(path))
 }

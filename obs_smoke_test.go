@@ -24,7 +24,7 @@ func TestObsSmoke(t *testing.T) {
 	dir := t.TempDir()
 	mpath := filepath.Join(dir, "metrics.json")
 	epath := filepath.Join(dir, "events.jsonl")
-	rec, closeObs, err := obs.NewFromPaths(mpath, epath, "")
+	rec, _, closeObs, err := obs.Flags{Metrics: mpath, Events: epath}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -382,12 +382,11 @@ func sweepCBT(w *csv.Writer, trh int64) error {
 		return err
 	}
 	for counters := 64; counters <= 4096; counters *= 2 {
-		levels := 0 // derive default
-		c, err := cbt.New(cbt.Config{TRH: trh, Counters: counters, Levels: levels})
+		c, err := cbt.New(cbt.Config{TRH: trh, Counters: counters})
 		if err != nil {
 			return err
 		}
-		lv := cbtLevels(counters)
+		lv := c.Levels()
 		contig, err := model.CBTTriggerRows(64*1024, lv-1, 1, false)
 		if err != nil {
 			return err
@@ -536,13 +535,4 @@ func sweepScalingAdversarial(w *csv.Writer, o options) error {
 		return err
 	}
 	return writeScaling(w, rows)
-}
-
-// cbtLevels mirrors the default level derivation (log2(counters) + 3).
-func cbtLevels(counters int) int {
-	bits := 0
-	for v := counters - 1; v > 0; v >>= 1 {
-		bits++
-	}
-	return bits + 3
 }

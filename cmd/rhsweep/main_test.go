@@ -72,6 +72,12 @@ func TestSweepCBT(t *testing.T) {
 	if rows[2][0] != "128" || rows[2][1] != "10" || rows[2][4] != "130" || rows[2][5] != "256" {
 		t.Errorf("CBT-128 row: %v", rows[2])
 	}
+	// The default depth is log2(counters)+3 at every size.
+	for i, want := range map[int][2]string{1: {"64", "9"}, 3: {"256", "11"}, 7: {"4096", "15"}} {
+		if rows[i][0] != want[0] || rows[i][1] != want[1] {
+			t.Errorf("row %d = %v, want %s counters at %s levels", i, rows[i], want[0], want[1])
+		}
+	}
 }
 
 func TestTypedCell(t *testing.T) {
@@ -168,14 +174,6 @@ func TestEmitJSONNonFiniteCells(t *testing.T) {
 	}
 	if rows[0]["ratio"] != nil || rows[0]["peak"] != nil {
 		t.Errorf("non-finite cells = %#v / %#v, want null", rows[0]["ratio"], rows[0]["peak"])
-	}
-}
-
-func TestCBTLevelsMirrorsDefault(t *testing.T) {
-	for counters, want := range map[int]int{64: 9, 128: 10, 256: 11, 4096: 15} {
-		if got := cbtLevels(counters); got != want {
-			t.Errorf("cbtLevels(%d) = %d, want %d", counters, got, want)
-		}
 	}
 }
 

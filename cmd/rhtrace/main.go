@@ -16,7 +16,6 @@ package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -74,34 +73,44 @@ func main() {
 	}
 }
 
-// writeTrace serializes gen to w in the requested format ("text" or
-// "binary") and returns the access count.
-func writeTrace(w io.Writer, gen trace.Generator, format string) (int64, error) {
+// encoder returns the trace writer for an output format, "text" or
+// "binary". doRecord and doConvert call it before they build or decode a
+// trace, so a rejected format fails at once and leaves an existing -o
+// file as it was.
+func encoder(format string) (func(io.Writer, trace.Generator) (int64, error), error) {
 	switch format {
 	case "text":
-		return trace.WriteTo(w, gen)
+		return trace.WriteTo, nil
 	case "binary":
-		return trace.WriteBinary(w, gen)
-	default:
-		return 0, fmt.Errorf("unknown output format %q (want text, binary, or auto)", format)
+		return trace.WriteBinary, nil
 	}
+	return nil, fmt.Errorf("unknown output format %q (want text, binary, or auto)", format)
 }
 
-// openOut resolves the -o flag: stdout when empty, else a created file.
-func openOut(out string) (io.Writer, func() error, error) {
+// writeTrace writes gen to out (stdout when empty) with write and returns
+// the access count.
+func writeTrace(out string, write func(io.Writer, trace.Generator) (int64, error), gen trace.Generator) (int64, error) {
 	if out == "" {
-		return os.Stdout, func() error { return nil }, nil
+		return write(os.Stdout, gen)
 	}
 	f, err := os.Create(out)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	return f, f.Close, nil
+	n, err := write(f, gen)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return n, err
 }
 
 func doRecord(name, out, format string, trh, acts int64, windows float64, seed int64) error {
 	if format == "auto" {
 		format = "text"
+	}
+	write, err := encoder(format)
+	if err != nil {
+		return err
 	}
 	sc := sim.Quick()
 	sc.Seed = seed
@@ -111,16 +120,8 @@ func doRecord(name, out, format string, trh, acts int64, windows float64, seed i
 	if err != nil {
 		return err
 	}
-	w, done, err := openOut(out)
+	n, err := writeTrace(out, write, gen)
 	if err != nil {
-		return err
-	}
-	n, err := writeTrace(w, gen, format)
-	if err != nil {
-		done()
-		return err
-	}
-	if err := done(); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "rhtrace: recorded %d accesses of %s (%s)\n", n, name, format)
@@ -141,140 +142,60 @@ func doConvert(in, out, to string) error {
 	if trace.IsBinary(src) {
 		from = "binary"
 	}
-	tr, err := trace.ReadAuto(src, in)
-	if err != nil {
-		return err
-	}
 	if to == "auto" {
 		to = "text"
 		if from == "text" {
 			to = "binary"
 		}
 	}
-	w, done, err := openOut(out)
+	write, err := encoder(to)
 	if err != nil {
 		return err
 	}
-	n, err := writeTrace(w, tr.Generator(), to)
+	var tr *trace.Trace
+	if from == "binary" {
+		tr, err = trace.ReadBinary(src)
+	} else {
+		tr, err = trace.ReadAll(src, in)
+	}
 	if err != nil {
-		done()
 		return err
 	}
-	if err := done(); err != nil {
+	n, err := writeTrace(out, write, tr.Generator())
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "rhtrace: converted %s (%d accesses) %s -> %s\n", tr.Name, n, from, to)
 	return nil
 }
 
-// doReplay runs a trace file through the simulator under one scheme, on
-// the geometry rhsim -trace and rhsweep -sweep trace give it: one rank of
-// the banks the trace touches, rows grown to its highest row
-// (sim.TraceGeometry). The format is auto-detected. A text trace is
-// parsed once, and that one in-memory pass both sizes the geometry and
-// feeds the replay. A binary trace names its banks in the header but not
-// its rows, so it streams block-direct into the bank-parallel replay path
-// on the default rows per bank, and the file is decoded once. Only a trace
-// that touches a row beyond them is read again: rowBound stops that replay
-// with the rows the trace needs, and the file is replayed from its start
-// on those rows, which needs a file that can seek.
+// doReplay runs a trace file through the simulator under one scheme, as
+// rhsim -trace and rhsweep -sweep trace do: sim.LoadTraces loads it (text
+// or binary, auto-detected) and sizes its geometry, one rank of the banks
+// the trace touches with rows grown to its highest row.
 func doReplay(path, scheme string, trh, seed int64) error {
-	f, err := os.Open(path)
+	sc := sim.Quick()
+	sc.Seed = seed
+	srcs, eff, err := sim.LoadTraces(sc, []string{path})
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
-	sc := sim.Quick()
-	sc.Seed = seed
-	replay := func(name string, naccs int64, banks, rows int, run func(memctrl.Config) (memctrl.Result, error)) error {
-		geo := sim.TraceGeometry(sc, banks, rows)
-		factory, schemeName, err := sim.BuildScheme(scheme, trh, 2, 1, geo.RowsPerBank, sc)
-		if err != nil {
-			return err
-		}
-		res, err := run(memctrl.Config{
-			Geometry: geo, Timing: sc.Timing, Factory: factory, TRH: trh,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("trace              %s (%d accesses, %d banks)\n", name, naccs, geo.BanksPerRank)
-		fmt.Printf("scheme             %s\n", schemeName)
-		fmt.Printf("victim refreshes   %d commands, %d rows\n", res.NRRCommands, res.RowsVictim)
-		fmt.Printf("refresh overhead   %s\n", stats.Pct(res.RefreshOverhead()))
-		fmt.Printf("bit flips          %d\n", len(res.Flips))
-		if len(res.Flips) > 0 {
-			return fmt.Errorf("protection failed with %d bit flips", len(res.Flips))
-		}
-		return nil
-	}
-
-	src := bufio.NewReader(f)
-	br, err := trace.NewBlockReader(src)
-	switch {
-	case err == nil:
-		err = replay(br.Name(), br.Total(), br.Banks(), 0, func(cfg memctrl.Config) (memctrl.Result, error) {
-			return memctrl.RunBlocks(cfg, &rowBound{BlockReader: br, rows: cfg.Geometry.RowsPerBank})
-		})
-		var need rowsBeyond
-		if !errors.As(err, &need) {
-			return err
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("%w; replaying it on more rows needs a file that can seek: %w", need, err)
-		}
-		if br, err = trace.NewBlockReader(bufio.NewReader(f)); err != nil {
-			return err
-		}
-		return replay(br.Name(), br.Total(), br.Banks(), int(need), func(cfg memctrl.Config) (memctrl.Result, error) {
-			return memctrl.RunBlocks(cfg, br)
-		})
-	case errors.Is(err, trace.ErrNotBinary):
-		tr, err := trace.ReadAll(src, path)
-		if err != nil {
-			return err
-		}
-		banks, rows := tr.Dims()
-		return replay(tr.Name, int64(len(tr.Accs)), banks, rows, func(cfg memctrl.Config) (memctrl.Result, error) {
-			return memctrl.Run(cfg, tr.Generator())
-		})
-	default:
+	geo := eff.Geometry
+	factory, schemeName, err := sim.BuildScheme(scheme, trh, 2, 1, geo.RowsPerBank, eff)
+	if err != nil {
 		return err
 	}
-}
-
-// rowBound is a binary trace streamed into a replay on rows rows per
-// bank. At the first block that touches a row beyond them it decodes the
-// rest of the trace and fails with rowsBeyond, the rows the whole trace
-// needs: every block before that one fits in rows.
-type rowBound struct {
-	*trace.BlockReader
-	rows int
-}
-
-// rowsBeyond is the rows per bank a trace needs, one past its highest
-// row, when that is more than its replay was started on.
-type rowsBeyond int
-
-func (n rowsBeyond) Error() string {
-	return fmt.Sprintf("trace touches row %d, beyond the default rows per bank", int(n)-1)
-}
-
-func (b *rowBound) NextCols(buf trace.ColBlock) (trace.ColBlock, error) {
-	blk, err := b.BlockReader.NextCols(buf)
-	need := b.rows
-	for err == nil {
-		for _, r := range blk.Rows {
-			need = max(need, int(r)+1)
-		}
-		if need == b.rows {
-			return blk, nil
-		}
-		blk, err = b.BlockReader.NextCols(blk)
+	res, err := srcs[0].Replay(memctrl.Config{Geometry: geo, Timing: eff.Timing, Factory: factory, TRH: trh})
+	if err != nil {
+		return err
 	}
-	if err == io.EOF && need > b.rows {
-		err = rowsBeyond(need)
+	fmt.Printf("trace              %s (%d accesses, %d banks)\n", srcs[0].Name, res.ACTs, geo.BanksPerRank)
+	fmt.Printf("scheme             %s\n", schemeName)
+	fmt.Printf("victim refreshes   %d commands, %d rows\n", res.NRRCommands, res.RowsVictim)
+	fmt.Printf("refresh overhead   %s\n", stats.Pct(res.RefreshOverhead()))
+	fmt.Printf("bit flips          %d\n", len(res.Flips))
+	if len(res.Flips) > 0 {
+		return fmt.Errorf("protection failed with %d bit flips", len(res.Flips))
 	}
-	return blk, err
+	return nil
 }

@@ -167,6 +167,32 @@ func TestConvertExplicitFormats(t *testing.T) {
 	}
 }
 
+// TestUnknownFormatKeepsOutput: -record and -convert reject an unknown
+// -to before they create -o, so an existing output file keeps its bytes.
+func TestUnknownFormatKeepsOutput(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "s3.bin")
+	if err := doRecord("S3", in, "binary", 50000, 0, 0.01, 1); err != nil {
+		t.Fatal(err)
+	}
+	keep := filepath.Join(dir, "keep.bin")
+	want := []byte("existing bytes\n")
+	for mode, run := range map[string]func() error{
+		"record":  func() error { return doRecord("S3", keep, "xml", 50000, 0, 0.01, 1) },
+		"convert": func() error { return doConvert(in, keep, "bin") },
+	} {
+		if err := os.WriteFile(keep, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(); err == nil || !strings.Contains(err.Error(), "unknown output format") {
+			t.Errorf("%s: err = %v, want an unknown output format", mode, err)
+		}
+		if got, err := os.ReadFile(keep); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: -o now holds %q (err %v), want %q", mode, got, err, want)
+		}
+	}
+}
+
 func TestRecordBinaryAndReplay(t *testing.T) {
 	// -record -to binary produces a binary file that -replay auto-detects
 	// and streams through the block-direct path.

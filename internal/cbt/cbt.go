@@ -127,6 +127,10 @@ func New(cfg Config) (*CBT, error) {
 // Name implements mitigation.Mitigator.
 func (c *CBT) Name() string { return fmt.Sprintf("cbt-%d", c.cfg.Counters) }
 
+// Levels returns the tree depth, the derived default when Config.Levels
+// was 0.
+func (c *CBT) Levels() int { return c.cfg.Levels }
+
 // LastLevelThreshold returns the trigger threshold derived from TRH.
 func (c *CBT) LastLevelThreshold() int64 { return c.tLast }
 

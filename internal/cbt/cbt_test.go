@@ -33,7 +33,7 @@ func TestNewDefaults(t *testing.T) {
 		t.Errorf("fresh tree has %d counters, want 1 (root)", c.LiveCounters())
 	}
 	// Paper: CBT-128 has 10 levels.
-	if got := c.cfg.Levels; got != 10 {
+	if got := c.Levels(); got != 10 {
 		t.Errorf("levels = %d, want 10", got)
 	}
 }

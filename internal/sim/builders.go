@@ -26,19 +26,13 @@ import (
 // rotation worst case) — into a generator. attack reports whether the
 // stream targets a single bank at the maximum rate.
 func BuildWorkload(name string, sc Scale, trh int64) (gen trace.Generator, attack bool, err error) {
-	rows := sc.Geometry.RowsPerBank
-	total := int64(float64(sc.Timing.MaxACTs(sc.Timing.TREFW)) * sc.AdversarialWindows)
+	rows, total := sc.Geometry.RowsPerBank, attackACTs(sc)
+	for _, p := range adversarialSuite {
+		if p.name == name {
+			return p.gen(rows, total, sc.Seed), true, nil
+		}
+	}
 	switch name {
-	case "S1-10":
-		return workload.S1(0, rows, 10, total), true, nil
-	case "S1-20":
-		return workload.S1(0, rows, 20, total), true, nil
-	case "S2":
-		return workload.S2(0, rows, 10, 0.2, total, sc.Seed), true, nil
-	case "S3":
-		return workload.S3(0, rows/2, total), true, nil
-	case "S4":
-		return workload.S4(0, rows, rows/2, 0.5, total, sc.Seed), true, nil
 	case "prohit-pattern":
 		return workload.ProHITPattern(0, rows/2, total), true, nil
 	case "mrloc-pattern":
@@ -68,7 +62,10 @@ func BuildWorkload(name string, sc Scale, trh int64) (gen trace.Generator, attac
 // AttackNames lists the workload names BuildWorkload accepts beyond the
 // realistic profiles.
 func AttackNames() []string {
-	names := []string{"S1-10", "S1-20", "S2", "S3", "S4", "prohit-pattern", "mrloc-pattern", "worst", "rowpress", "rowpress-double"}
+	names := []string{"prohit-pattern", "mrloc-pattern", "worst", "rowpress", "rowpress-double"}
+	for _, p := range adversarialSuite {
+		names = append(names, p.name)
+	}
 	sort.Strings(names)
 	return names
 }

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
+
+	"graphene/internal/trace"
 )
 
 func TestBuildWorkloadNames(t *testing.T) {
@@ -32,6 +36,51 @@ func TestBuildWorkloadNames(t *testing.T) {
 	}
 	if _, _, err := BuildWorkload("nope", sc, 50000); err == nil {
 		t.Error("accepted unknown workload")
+	}
+}
+
+// TestAdversarialSuitePinned pins the §V-B attack suite: each pattern's
+// generator name, length and an FNV-1a hash of its accesses, over 0.01
+// windows at testScale, as AdversarialPatterns and BuildWorkload build it.
+// The goldens replay their own S1 stream, so without this an edited
+// argument would move the Fig. 8(b) and 9(c) sweeps unnoticed.
+func TestAdversarialSuitePinned(t *testing.T) {
+	sc := testScale()
+	sc.AdversarialWindows = 0.01
+	fingerprint := func(gen trace.Generator) (n int, sum uint64) {
+		h := fnv.New64a()
+		for a, ok := gen.Next(); ok; a, ok = gen.Next() {
+			fmt.Fprintf(h, "%d %d %d %d\n", a.Bank, a.Row, a.Gap, a.Dwell)
+			n++
+		}
+		return n, h.Sum64()
+	}
+	want := []struct {
+		workload, name string
+		n              int
+		sum            uint64
+	}{
+		{"S1-10", "S1-N10", 13584, 0x71ee8abeb0a993d9},
+		{"S1-20", "S1-N20", 13584, 0xe79e43f5f7cc543b},
+		{"S2", "S2-N10", 13584, 0x632b609f6fc00c59},
+		{"S3", "S3", 13584, 0x90614bb74ec3b7a5},
+		{"S4", "S4", 13584, 0xd941ffb8f8aeb505},
+	}
+	pats := AdversarialPatterns(sc)
+	if len(pats) != len(want) {
+		t.Fatalf("%d patterns, want %d", len(pats), len(want))
+	}
+	for i, w := range want {
+		built, _, err := BuildWorkload(w.workload, sc, 50000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, gen := range []trace.Generator{pats[i](), built} {
+			name := gen.Name()
+			if n, sum := fingerprint(gen); name != w.name || n != w.n || sum != w.sum {
+				t.Errorf("%s: (%s, %d, %#x), want (%s, %d, %#x)", w.workload, name, n, sum, w.name, w.n, w.sum)
+			}
+		}
 	}
 }
 

@@ -13,26 +13,15 @@ import (
 	"graphene/internal/trace"
 )
 
-// TraceGeometry is the geometry a recorded trace replays on, given the
-// banks and rows it touches (highest index + 1, as trace.Trace.Dims
-// reports them): one rank of that many banks (at least one), each with
-// sc's rows per bank (the device default's when sc has none) grown to the
-// trace's rows. A one-bank recording thus replays on one bank, whatever
-// sc's bank count: an idle bank would add auto-refresh rows that dilute
-// the refresh overhead.
-func TraceGeometry(sc Scale, banks, rows int) dram.Geometry {
-	rowsPerBank := sc.Geometry.RowsPerBank
-	if rowsPerBank == 0 {
-		rowsPerBank = dram.Default().RowsPerBank
-	}
-	return dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: max(banks, 1), RowsPerBank: max(rowsPerBank, rows)}
-}
-
 // LoadTraces loads recorded trace files (text or binary, auto-detected by
 // magic) as Sources and returns them with a Scale whose geometry is the
-// traces' own, the TraceGeometry of the most banks and rows any of them
-// touches. Trace names must be distinct — the sweep keys its per-trace
-// memoized baselines by name.
+// traces' own: one rank of as many banks as any of them touches (at least
+// one), each with sc's rows per bank (the device default's when sc has
+// none) grown to the highest row any of them touches. A one-bank
+// recording thus replays on one bank, whatever sc's bank count: an idle
+// bank would add auto-refresh rows that dilute the refresh overhead.
+// Trace names must be distinct — the sweep keys its per-trace memoized
+// baselines by name.
 //
 // A binary trace is held as its encoded bytes, a few bytes per access,
 // and every replay streams them block-direct through memctrl.RunBlocks. A
@@ -45,9 +34,12 @@ func LoadTraces(sc Scale, paths []string) ([]Source, Scale, error) {
 	}
 	srcs := make([]Source, len(paths))
 	seen := make(map[string]string, len(paths))
-	needBanks, needRows := 0, 0
+	banks, rows := 1, sc.Geometry.RowsPerBank
+	if rows == 0 {
+		rows = dram.Default().RowsPerBank
+	}
 	for i, path := range paths {
-		src, banks, rows, err := loadTrace(path)
+		src, needBanks, needRows, err := loadTrace(path)
 		if err != nil {
 			return nil, Scale{}, fmt.Errorf("sim: %w", err)
 		}
@@ -56,10 +48,10 @@ func LoadTraces(sc Scale, paths []string) ([]Source, Scale, error) {
 		}
 		seen[src.Name] = path
 		srcs[i] = src
-		needBanks, needRows = max(needBanks, banks), max(needRows, rows)
+		banks, rows = max(banks, needBanks), max(rows, needRows)
 	}
 	eff := sc
-	eff.Geometry = TraceGeometry(sc, needBanks, needRows)
+	eff.Geometry = dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: banks, RowsPerBank: rows}
 	return srcs, eff, nil
 }
 

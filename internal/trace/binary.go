@@ -107,7 +107,7 @@ const (
 var payloadFree = make(chan []byte, 4)
 
 // ErrNotBinary reports that a stream does not start with the binary
-// magic; ReadAuto uses it to fall back to the text parser.
+// magic.
 var ErrNotBinary = errors.New("trace: not a binary trace (magic mismatch)")
 
 // IsBinary reports whether r's next bytes are a binary trace magic
@@ -417,9 +417,8 @@ type bankState struct {
 }
 
 // NewBlockReader checks the magic and reads the header. A stream that
-// does not start with the binary magic returns ErrNotBinary with nothing
-// consumed beyond the peek (r is internally buffered; use ReadAuto for
-// transparent fallback to the text parser).
+// does not start with the binary magic returns ErrNotBinary, having
+// consumed nothing from r when r is a *bufio.Reader (see IsBinary).
 func NewBlockReader(r io.Reader) (*BlockReader, error) {
 	src, ok := r.(*bufio.Reader)
 	if !ok {
@@ -897,17 +896,4 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		}
 	}
 	return &Trace{Name: br.name, Accs: out}, nil
-}
-
-// ---------------------------------------------------------- auto-detect
-
-// ReadAuto reads a trace in either format, sniffing the binary magic and
-// falling back to the text parser. fallbackName applies only to text
-// traces without a header line (the binary header always carries a name).
-func ReadAuto(r io.Reader, fallbackName string) (*Trace, error) {
-	src := bufio.NewReader(r)
-	if IsBinary(src) {
-		return ReadBinary(src)
-	}
-	return ReadAll(src, fallbackName)
 }

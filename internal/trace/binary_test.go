@@ -636,34 +636,6 @@ func TestWriteBinaryRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestReadAutoDetectsFormat(t *testing.T) {
-	accs := mixedTrace(500, 3, 7)
-
-	var text strings.Builder
-	if _, err := WriteTo(&text, FromSlice("auto", accs)); err != nil {
-		t.Fatal(err)
-	}
-	bin := encodeBinary(t, "auto", accs)
-
-	for name, src := range map[string]io.Reader{
-		"text":   strings.NewReader(text.String()),
-		"binary": bytes.NewReader(bin),
-	} {
-		tr, err := ReadAuto(src, "fallback")
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if tr.Name != "auto" || len(tr.Accs) != len(accs) {
-			t.Fatalf("%s: (%q, %d accesses), want (auto, %d)", name, tr.Name, len(tr.Accs), len(accs))
-		}
-		for i := range accs {
-			if tr.Accs[i] != accs[i] {
-				t.Fatalf("%s: access %d = %+v, want %+v", name, i, tr.Accs[i], accs[i])
-			}
-		}
-	}
-}
-
 // TestBinaryMatchesTextReader pins the two codecs to each other over a
 // text fixture: parse text (reference), convert to binary, and require the
 // binary reader to reproduce the reference stream exactly.

@@ -20,7 +20,7 @@ import (
 // open-row dwell; absent means the device minimum (nRAS), so every
 // pre-dwell trace parses unchanged, and WriteTo only emits it on accesses
 // that carry one. The first comment line written by WriteTo records the
-// trace name. A compact binary alternative lives in binary.go; ReadAuto
+// trace name. A compact binary alternative lives in binary.go; IsBinary
 // distinguishes the two by the binary magic.
 
 // Shared field limits. Both codecs enforce the same ranges, so a trace
